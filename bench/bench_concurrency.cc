@@ -18,14 +18,11 @@
 ///  * BM_BatchCheckAccess vs BM_LoopCheckAccess — one
 ///    CheckAccessBatch over a fixed request mix vs the same requests
 ///    looped one by one (per-decision latency, single thread);
-///  * BM_MutationThroughputQueued/threads:N vs
-///    BM_MutationThroughputMutex/threads:N — N producers pushing
-///    durable mutations through the MPSC MutationQueue (pipelined
-///    submission, WalSyncPolicy::kGroupCommit: one fsync + one
-///    published view per batch) vs the retired contract (external
-///    mutex, inline path, kEveryRecord: one fsync + one publish per
-///    op). The write-pipeline acceptance criterion reads these two
-///    series: queued ≥ 3x mutex at 8 producers, no regression at 1;
+///  * BM_MutationThroughputQueued/threads:N — N producers pushing
+///    durable mutations through the MPSC MutationQueue, the engine's
+///    only write path (pipelined submission; one fsync + one published
+///    view per group-commit batch). The retired mutex-serialized inline
+///    baseline survives as a recorded number in docs/ARCHITECTURE.md;
 ///  * BM_ReadWriteInterferenceZipf/threads:N — thread 0 streams
 ///    queued mutations while N-1 readers draw Zipf-skewed (theta 0.99)
 ///    requester/resource mixes; items counts reader decisions only.
@@ -36,9 +33,7 @@
 
 #include <cstdlib>
 #include <deque>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -201,7 +196,7 @@ void BM_LoopCheckAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_LoopCheckAccess);
 
-// ---- Mutation throughput: queued vs mutex-serialized ------------------------
+// ---- Mutation throughput through the write queue ---------------------------
 
 // Each producer toggles its own private logical edge (add, remove, add,
 // ...): every op succeeds, the overlay stays bounded, and no two
@@ -218,44 +213,37 @@ struct MutationFixture {
   PolicyStore store;
   std::string dir;
   std::unique_ptr<AccessControlEngine> engine;
-  std::mutex legacy_mu;  // the retired external single-writer contract
 };
 
-MutationFixture& GetMutationFixture(bool queued) {
-  static std::map<bool, std::unique_ptr<MutationFixture>> cache;
-  auto it = cache.find(queued);
-  if (it != cache.end()) return *it->second;
+MutationFixture& GetMutationFixture() {
+  static MutationFixture* f = []() {
+    auto* fx = new MutationFixture();
+    fx->g = std::make_unique<SocialGraph>(
+        MakeGraph(GraphKind::kBarabasiAlbert, kWriterNodes, 3, 42));
+    const ResourceId res = fx->store.RegisterResource(0, "res");
+    if (!fx->store.AddRuleFromPaths(res, {"friend[1,2]"}).ok()) std::abort();
 
-  auto fx = std::make_unique<MutationFixture>();
-  fx->g = std::make_unique<SocialGraph>(
-      MakeGraph(GraphKind::kBarabasiAlbert, kWriterNodes, 3, 42));
-  const ResourceId res = fx->store.RegisterResource(0, "res");
-  if (!fx->store.AddRuleFromPaths(res, {"friend[1,2]"}).ok()) std::abort();
+    EngineOptions options;
+    // Keep fold/snapshot work out of the measured loop; the overlay
+    // stays bounded anyway because every producer toggles its edge.
+    options.compact_threshold = 1u << 30;
+    options.audit_capacity = 0;
+    fx->engine = std::make_unique<AccessControlEngine>(*fx->g, fx->store,
+                                                       options);
+    if (!fx->engine->RebuildIndexes().ok()) std::abort();
 
-  EngineOptions options;
-  // Keep fold/snapshot work out of the measured loop; the overlay stays
-  // bounded anyway because every producer toggles its edge.
-  options.compact_threshold = 1u << 30;
-  options.audit_capacity = 0;
-  options.async_mutations = queued;
-  fx->engine = std::make_unique<AccessControlEngine>(*fx->g, fx->store,
-                                                     options);
-  if (!fx->engine->RebuildIndexes().ok()) std::abort();
-
-  char tmpl[] = "/tmp/sargus_bench_concurrency_XXXXXX";
-  fx->dir = mkdtemp(tmpl);
-  DurabilityOptions durability;
-  durability.wal_sync = queued ? storage::WalSyncPolicy::kGroupCommit
-                               : storage::WalSyncPolicy::kEveryRecord;
-  durability.snapshot_on_compaction = false;
-  if (!fx->engine->EnableDurability(fx->dir, durability).ok()) std::abort();
-  return *cache.emplace(queued, std::move(fx)).first->second;
+    char tmpl[] = "/tmp/sargus_bench_concurrency_XXXXXX";
+    fx->dir = mkdtemp(tmpl);
+    if (!fx->engine->EnableDurability(fx->dir).ok()) std::abort();
+    return fx;
+  }();
+  return *f;
 }
 
 /// N producers over the MPSC queue: pipelined submission with a bounded
 /// ticket window, group-commit batches behind the scenes.
 void BM_MutationThroughputQueued(benchmark::State& state) {
-  MutationFixture& f = GetMutationFixture(/*queued=*/true);
+  MutationFixture& f = GetMutationFixture();
   AccessControlEngine& engine = *f.engine;
   const auto src = static_cast<NodeId>(2 * state.thread_index());
   const auto dst = static_cast<NodeId>(2 * state.thread_index() + 1);
@@ -279,34 +267,6 @@ void BM_MutationThroughputQueued(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MutationThroughputQueued)
-    ->Threads(1)
-    ->Threads(2)
-    ->Threads(4)
-    ->Threads(8)
-    ->UseRealTime();
-
-/// The same op stream under the retired contract: producers serialize
-/// behind an external mutex, each op runs the inline path — its own
-/// WAL fsync (kEveryRecord) and its own view republication.
-void BM_MutationThroughputMutex(benchmark::State& state) {
-  MutationFixture& f = GetMutationFixture(/*queued=*/false);
-  AccessControlEngine& engine = *f.engine;
-  const auto src = static_cast<NodeId>(2 * state.thread_index());
-  const auto dst = static_cast<NodeId>(2 * state.thread_index() + 1);
-  bool add = true;
-  for (auto _ : state) {
-    std::lock_guard<std::mutex> lock(f.legacy_mu);
-    const Status s = add ? engine.AddEdge(src, dst, "friend")
-                         : engine.RemoveEdge(src, dst, "friend");
-    add = !add;
-    if (!s.ok()) {
-      state.SkipWithError(s.ToString().c_str());
-      break;
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MutationThroughputMutex)
     ->Threads(1)
     ->Threads(2)
     ->Threads(4)

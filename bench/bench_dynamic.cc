@@ -13,12 +13,12 @@
 ///    mutation cost must be flat in |V| (the acceptance criterion for
 ///    the overlay subsystem), with compaction as a bounded amortized
 ///    add-on, while the rebuild-per-mutation baseline grows linearly;
-///  * the compaction-latency series (BM_CompactStall*): the
-///    writer-observed Compact() stall under the blocking mode (the full
-///    fold + rebuild, linear in |V|) vs the background double-buffered
-///    mode (an O(overlay) freeze — flat in |V|, the ≥10x-at-64k
-///    acceptance series), plus incremental-vs-full index maintenance on
-///    small insertion-only overlays (BM_CompactIncrementalVsFull).
+///  * the compaction-latency series (BM_CompactStallBackground): the
+///    writer-observed Compact() stall of the double-buffered pipeline
+///    (an O(overlay) freeze — flat in |V|; the retired blocking mode's
+///    linear-in-|V| stall is a recorded number in docs/ARCHITECTURE.md),
+///    plus incremental-vs-full index maintenance on small
+///    insertion-only overlays (BM_CompactIncrementalVsFull).
 
 #include <benchmark/benchmark.h>
 
@@ -288,45 +288,10 @@ void StageFreshInsertions(AccessControlEngine& engine, const SocialGraph& g,
   }
 }
 
-/// Writer-observed Compact() stall, blocking mode: the timed region is
-/// the full fold + index rebuild — linear in |V| (the pre-PR behavior,
-/// and the baseline for the background series below).
-void BM_CompactStallBlocking(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  SocialGraph g = MakeGraph(GraphKind::kBarabasiAlbert, n, 3, 42);
-  PolicyStore store;
-  const ResourceId res = store.RegisterResource(/*owner=*/0, "doc");
-  (void)store.AddRuleFromPaths(res, {kQ1}).ValueOrDie();
-  AccessControlEngine engine(g, store,
-                             {.evaluator = EvaluatorChoice::kOnlineBfs,
-                              .compact_threshold = 0,
-                              .background_compaction = false});
-  if (auto st = engine.RebuildIndexes(); !st.ok()) {
-    state.SkipWithError(st.ToString().c_str());
-    return;
-  }
-  const LabelId friend_label = g.labels().Lookup("friend");
-  Rng rng(21);
-  for (auto _ : state) {
-    state.PauseTiming();
-    StageFreshInsertions(engine, g, friend_label, n, 64, rng);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(engine.Compact().ok());
-  }
-  state.counters["nodes"] = static_cast<double>(n);
-}
-BENCHMARK(BM_CompactStallBlocking)
-    ->Arg(1024)
-    ->Arg(4096)
-    ->Arg(16384)
-    ->Arg(65536)
-    ->Unit(benchmark::kMicrosecond);
-
-/// Writer-observed Compact() stall, background mode: the timed region
-/// is only the freeze (an O(overlay) copy + thread kick) — the build,
-/// fold and publish happen on the compaction thread (drained outside
-/// the timer). Must be flat in |V| and ≥10x below the blocking series
-/// at 64k nodes — the tentpole acceptance criterion.
+/// Writer-observed Compact() stall: the timed region is only the freeze
+/// (an O(overlay) copy + thread kick) — the build, fold and publish
+/// happen on the compaction thread (drained outside the timer). Must be
+/// flat in |V|.
 void BM_CompactStallBackground(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   SocialGraph g = MakeGraph(GraphKind::kBarabasiAlbert, n, 3, 42);
@@ -335,8 +300,7 @@ void BM_CompactStallBackground(benchmark::State& state) {
   (void)store.AddRuleFromPaths(res, {kQ1}).ValueOrDie();
   AccessControlEngine engine(g, store,
                              {.evaluator = EvaluatorChoice::kOnlineBfs,
-                              .compact_threshold = 0,
-                              .background_compaction = true});
+                              .compact_threshold = 0});
   if (auto st = engine.RebuildIndexes(); !st.ok()) {
     state.SkipWithError(st.ToString().c_str());
     return;
@@ -363,10 +327,10 @@ BENCHMARK(BM_CompactStallBackground)
     ->Arg(65536)
     ->Unit(benchmark::kMicrosecond);
 
-/// Full compaction wall time (blocking, so the timer sees the whole
-/// build) with the incremental index patch on vs off, on an
-/// insertion-only overlay well under the 5%-of-|E| gate. Run under
-/// kAuto so the join stack — the part the patch actually skips
+/// Full compaction wall time (Compact() + WaitForCompaction(), so the
+/// timer sees the whole build) with the incremental index patch on vs
+/// off, on an insertion-only overlay well under the 5%-of-|E| gate. Run
+/// under kAuto so the join stack — the part the patch actually skips
 /// (Tarjan + condensation + label sweep) — is in play. The staged
 /// insertions hang off a fresh node so the patch is always applicable
 /// (no cycle fallback).
@@ -381,7 +345,6 @@ void BM_CompactIncrementalVsFull(benchmark::State& state) {
       g, store,
       {.evaluator = EvaluatorChoice::kAuto,
        .compact_threshold = 0,
-       .background_compaction = false,
        .incremental_max_fraction = incremental ? 0.05 : 0.0});
   if (auto st = engine.RebuildIndexes(); !st.ok()) {
     state.SkipWithError(st.ToString().c_str());
@@ -398,6 +361,7 @@ void BM_CompactIncrementalVsFull(benchmark::State& state) {
     }
     state.ResumeTiming();
     benchmark::DoNotOptimize(engine.Compact().ok());
+    engine.WaitForCompaction();
   }
   state.counters["nodes"] = static_cast<double>(n);
   state.counters["incremental_compactions"] =
@@ -412,6 +376,7 @@ BENCHMARK(BM_CompactIncrementalVsFull)
     ->Args({4096, 1})
     ->Args({16384, 0})
     ->Args({16384, 1})
+    ->UseRealTime()  // the build runs on the compaction thread
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -158,7 +158,7 @@ Status AccessControlEngine::RebuildIndexesLocked() {
   snapshot_generation_.fetch_add(1, std::memory_order_release);
   RecomputeEffectiveThreshold();
   PublishView();
-  if (durable_ && durability_.snapshot_on_compaction) {
+  if (durable_) {
     // The WAL's records (and the old bundle) describe state this rebuild
     // just discarded; publish a bundle covering the fresh snapshot.
     SARGUS_RETURN_IF_ERROR(SaveSnapshotLocked());
@@ -176,21 +176,7 @@ Status AccessControlEngine::RebuildIndexes() {
 }
 
 Status AccessControlEngine::RefreshPolicies() {
-  if (options_.async_mutations) return SubmitRefreshPolicies().Wait().status;
-  std::lock_guard<std::mutex> lock(mutation_mu_);
-  if (!built_) {
-    return Status::FailedPrecondition(
-        "RefreshPolicies: call RebuildIndexes() first");
-  }
-  if (RefreshPolicySnapshotIfStale()) {
-    PublishView();
-    // Ordering marker only — policies themselves are not persisted; a
-    // recovery replays this as a RefreshPolicies against the caller's
-    // re-registered store.
-    SARGUS_RETURN_IF_ERROR(WalLogLocked(storage::WalRecord::Kind::kPolicyRefresh,
-                                        0, 0, kInvalidLabel));
-  }
-  return OkStatus();
+  return SubmitRefreshPolicies().Wait().status;
 }
 
 // ---- Dynamic mutations ------------------------------------------------------
@@ -226,91 +212,26 @@ Status AccessControlEngine::CheckEndpoints(NodeId src, NodeId dst) const {
 
 Status AccessControlEngine::AddEdge(NodeId src, NodeId dst,
                                     const std::string& label) {
-  if (options_.async_mutations) {
-    return SubmitAddEdge(src, dst, label).Wait().status;
-  }
-  std::lock_guard<std::mutex> lock(mutation_mu_);
-  SARGUS_RETURN_IF_ERROR(CheckMutable());
-  // Validate fully *before* interning: a failed AddEdge must leave the
-  // graph (including its label dictionary) untouched.
-  SARGUS_RETURN_IF_ERROR(CheckEndpoints(src, dst));
-  LabelId id = graph_->labels().Lookup(label);
-  if (id == kInvalidLabel) {
-    id = mutable_graph_->labels().Intern(label);
-    if (id == kInvalidLabel) {
-      return Status::ResourceExhausted("AddEdge: label dictionary full");
-    }
-  }
-  SARGUS_RETURN_IF_ERROR(StageAddEdge(src, dst, id));
-  SARGUS_RETURN_IF_ERROR(
-      WalLogLocked(storage::WalRecord::Kind::kAddEdge, src, dst, id));
-  return FinishMutation();
+  return SubmitAddEdge(src, dst, label).Wait().status;
 }
 
 Status AccessControlEngine::AddEdge(NodeId src, NodeId dst, LabelId label) {
-  if (options_.async_mutations) {
-    return SubmitAddEdge(src, dst, label).Wait().status;
-  }
-  std::lock_guard<std::mutex> lock(mutation_mu_);
-  SARGUS_RETURN_IF_ERROR(CheckMutable());
-  if (label >= graph_->labels().size()) {
-    return Status::InvalidArgument("AddEdge: unknown label id");
-  }
-  SARGUS_RETURN_IF_ERROR(StageAddEdge(src, dst, label));
-  SARGUS_RETURN_IF_ERROR(
-      WalLogLocked(storage::WalRecord::Kind::kAddEdge, src, dst, label));
-  return FinishMutation();
+  return SubmitAddEdge(src, dst, label).Wait().status;
 }
 
 Status AccessControlEngine::RemoveEdge(NodeId src, NodeId dst,
                                        const std::string& label) {
-  if (options_.async_mutations) {
-    return SubmitRemoveEdge(src, dst, label).Wait().status;
-  }
-  std::lock_guard<std::mutex> lock(mutation_mu_);
-  SARGUS_RETURN_IF_ERROR(CheckMutable());
-  const LabelId id = graph_->labels().Lookup(label);
-  if (id == kInvalidLabel) {
-    return Status::NotFound("RemoveEdge: unknown label '" + label + "'");
-  }
-  SARGUS_RETURN_IF_ERROR(StageRemoveEdge(src, dst, id));
-  SARGUS_RETURN_IF_ERROR(
-      WalLogLocked(storage::WalRecord::Kind::kRemoveEdge, src, dst, id));
-  return FinishMutation();
+  return SubmitRemoveEdge(src, dst, label).Wait().status;
 }
 
 Status AccessControlEngine::RemoveEdge(NodeId src, NodeId dst, LabelId label) {
-  if (options_.async_mutations) {
-    return SubmitRemoveEdge(src, dst, label).Wait().status;
-  }
-  std::lock_guard<std::mutex> lock(mutation_mu_);
-  SARGUS_RETURN_IF_ERROR(CheckMutable());
-  if (label >= graph_->labels().size()) {
-    return Status::NotFound("RemoveEdge: unknown label id");
-  }
-  SARGUS_RETURN_IF_ERROR(StageRemoveEdge(src, dst, label));
-  SARGUS_RETURN_IF_ERROR(
-      WalLogLocked(storage::WalRecord::Kind::kRemoveEdge, src, dst, label));
-  return FinishMutation();
+  return SubmitRemoveEdge(src, dst, label).Wait().status;
 }
 
 Result<NodeId> AccessControlEngine::AddNode() {
-  if (options_.async_mutations) {
-    WriteOutcome out = SubmitAddNode().Wait();
-    if (!out.status.ok()) return out.status;
-    return out.node;
-  }
-  std::lock_guard<std::mutex> lock(mutation_mu_);
-  SARGUS_RETURN_IF_ERROR(CheckMutable());
-  const NodeId id = static_cast<NodeId>(LogicalNumNodesLocked());
-  (void)overlay_.StageNode();
-  if (building_) {
-    journal_.push_back({JournalOp::Kind::kAddNode, 0, 0, kInvalidLabel});
-  }
-  SARGUS_RETURN_IF_ERROR(
-      WalLogLocked(storage::WalRecord::Kind::kAddNode, 0, 0, kInvalidLabel));
-  SARGUS_RETURN_IF_ERROR(FinishMutation());
-  return id;
+  WriteOutcome out = SubmitAddNode().Wait();
+  if (!out.status.ok()) return out.status;
+  return out.node;
 }
 
 // ---- Queued mutation front end ----------------------------------------------
@@ -398,13 +319,14 @@ Status AccessControlEngine::ApplyOneLocked(
     const WriteOp& op, WriteOutcome* out,
     std::vector<storage::WalRecord>* wal_batch) {
   SARGUS_RETURN_IF_ERROR(CheckMutable());
+  LabelId id = op.label;
+  storage::WalRecord::Kind kind = storage::WalRecord::Kind::kAddNode;
   switch (op.kind) {
     case WriteOp::Kind::kAddEdge: {
-      LabelId id = op.label;
+      // Validate fully *before* interning: a failed AddEdge must leave
+      // the graph (including its label dictionary) untouched.
+      SARGUS_RETURN_IF_ERROR(CheckEndpoints(op.src, op.dst));
       if (op.by_name) {
-        // Validate fully *before* interning: a failed AddEdge must
-        // leave the graph (including its label dictionary) untouched.
-        SARGUS_RETURN_IF_ERROR(CheckEndpoints(op.src, op.dst));
         id = graph_->labels().Lookup(op.label_name);
         if (id == kInvalidLabel) {
           id = mutable_graph_->labels().Intern(op.label_name);
@@ -415,15 +337,17 @@ Status AccessControlEngine::ApplyOneLocked(
       } else if (id >= graph_->labels().size()) {
         return Status::InvalidArgument("AddEdge: unknown label id");
       }
-      SARGUS_RETURN_IF_ERROR(StageAddEdge(op.src, op.dst, id));
-      if (wal_batch != nullptr) {
-        wal_batch->push_back(MakeWalRecordLocked(
-            storage::WalRecord::Kind::kAddEdge, op.src, op.dst, id));
+      if (EdgeInBaseLocked(op.src, op.dst, id)) {
+        // Present in the snapshot: visible unless masked by a staged
+        // remove.
+        (void)overlay_.UnstageRemove(op.src, op.dst, id);
+      } else {
+        (void)overlay_.StageAdd(op.src, op.dst, id);  // idempotent
       }
-      return OkStatus();
+      kind = storage::WalRecord::Kind::kAddEdge;
+      break;
     }
     case WriteOp::Kind::kRemoveEdge: {
-      LabelId id = op.label;
       if (op.by_name) {
         id = graph_->labels().Lookup(op.label_name);
         if (id == kInvalidLabel) {
@@ -433,30 +357,35 @@ Status AccessControlEngine::ApplyOneLocked(
       } else if (id >= graph_->labels().size()) {
         return Status::NotFound("RemoveEdge: unknown label id");
       }
-      SARGUS_RETURN_IF_ERROR(StageRemoveEdge(op.src, op.dst, id));
-      if (wal_batch != nullptr) {
-        wal_batch->push_back(MakeWalRecordLocked(
-            storage::WalRecord::Kind::kRemoveEdge, op.src, op.dst, id));
+      if (!overlay_.UnstageAdd(op.src, op.dst, id)) {
+        if (!EdgeInBaseLocked(op.src, op.dst, id) ||
+            overlay_.IsStagedRemove(op.src, op.dst, id)) {
+          return Status::NotFound("RemoveEdge: no such logical edge");
+        }
+        (void)overlay_.StageRemove(op.src, op.dst, id);
       }
-      return OkStatus();
+      kind = storage::WalRecord::Kind::kRemoveEdge;
+      break;
     }
-    case WriteOp::Kind::kAddNode: {
-      const NodeId id = static_cast<NodeId>(LogicalNumNodesLocked());
+    case WriteOp::Kind::kAddNode:
+      out->node = static_cast<NodeId>(LogicalNumNodesLocked());
       (void)overlay_.StageNode();
-      if (building_) {
-        journal_.push_back({JournalOp::Kind::kAddNode, 0, 0, kInvalidLabel});
-      }
-      if (wal_batch != nullptr) {
-        wal_batch->push_back(MakeWalRecordLocked(
-            storage::WalRecord::Kind::kAddNode, 0, 0, kInvalidLabel));
-      }
-      out->node = id;
-      return OkStatus();
-    }
+      break;
     case WriteOp::Kind::kRefreshPolicies:
-      break;  // handled by ApplyWriteBatch (needs no mutable graph)
+      // Handled by ApplyWriteBatch (needs no mutable graph).
+      return Status::InvalidArgument("unhandled write op kind");
   }
-  return Status::InvalidArgument("unhandled write op kind");
+  if (building_) {
+    WriteOp& resolved = journal_.emplace_back();
+    resolved.kind = op.kind;
+    resolved.src = op.src;
+    resolved.dst = op.dst;
+    resolved.label = id;
+  }
+  if (wal_batch != nullptr) {
+    wal_batch->push_back(MakeWalRecordLocked(kind, op.src, op.dst, id));
+  }
+  return OkStatus();
 }
 
 void AccessControlEngine::ApplyWriteBatch(std::span<const WriteOp> ops,
@@ -472,7 +401,7 @@ void AccessControlEngine::ApplyWriteBatch(std::span<const WriteOp> ops,
     WriteOutcome& out = outcomes[i];
     if (ops[i].kind == WriteOp::Kind::kRefreshPolicies) {
       // Policy refresh needs built indexes but not the mutable-graph
-      // constructor (same guard as the legacy call).
+      // constructor.
       if (!built_) {
         out.status = Status::FailedPrecondition(
             "RefreshPolicies: call RebuildIndexes() first");
@@ -502,10 +431,10 @@ void AccessControlEngine::ApplyWriteBatch(std::span<const WriteOp> ops,
   // record the batch produced, *before* any ticket observes OK.
   const Status wal_status = WalCommitBatchLocked(wal_batch);
   if (!wal_status.ok()) {
-    // An acknowledged mutation must be WAL-durable. Fail every op that
-    // believed it committed; their staged effects surface on the next
-    // publish, matching the legacy per-record failure path (which also
-    // stages before it logs) — and no view is published here.
+    // An acknowledged mutation must be WAL-durable: fail every op that
+    // believed it committed, and publish nothing. The ops stay staged in
+    // the writer's overlay, so the next publish (any later mutation)
+    // shows them although their tickets reported the failure.
     for (size_t i = 0; i < ops.size(); ++i) {
       if (outcomes[i].status.ok()) outcomes[i].status = wal_status;
     }
@@ -514,14 +443,8 @@ void AccessControlEngine::ApplyWriteBatch(std::span<const WriteOp> ops,
 
   if (any_graph_mutation) {
     // One publication (and at most one compaction kick) for the whole
-    // batch — the amortization the queue exists for. A failed tail
-    // (synchronous compaction) is batch-wide.
-    const Status fin = FinishMutation();
-    if (!fin.ok()) {
-      for (size_t i = 0; i < ops.size(); ++i) {
-        if (outcomes[i].status.ok()) outcomes[i].status = fin;
-      }
-    }
+    // batch — the amortization the queue exists for.
+    FinishMutation();
   } else if (policy_refreshed) {
     PublishView();
   }
@@ -545,43 +468,9 @@ bool AccessControlEngine::EdgeInBaseLocked(NodeId src, NodeId dst,
   return false;
 }
 
-Status AccessControlEngine::StageAddEdge(NodeId src, NodeId dst,
-                                         LabelId label) {
-  SARGUS_RETURN_IF_ERROR(CheckEndpoints(src, dst));
-  const bool in_base = EdgeInBaseLocked(src, dst, label);
-  if (in_base) {
-    // Present in the snapshot: visible unless masked by a staged remove.
-    (void)overlay_.UnstageRemove(src, dst, label);
-  } else {
-    (void)overlay_.StageAdd(src, dst, label);  // idempotent
-  }
-  if (building_) {
-    journal_.push_back({JournalOp::Kind::kAddEdge, src, dst, label});
-  }
-  return OkStatus();
-}
-
-Status AccessControlEngine::StageRemoveEdge(NodeId src, NodeId dst,
-                                            LabelId label) {
-  if (!overlay_.UnstageAdd(src, dst, label)) {
-    const bool in_base = EdgeInBaseLocked(src, dst, label);
-    if (!in_base || overlay_.IsStagedRemove(src, dst, label)) {
-      return Status::NotFound("RemoveEdge: no such logical edge");
-    }
-    (void)overlay_.StageRemove(src, dst, label);
-  }
-  if (building_) {
-    journal_.push_back({JournalOp::Kind::kRemoveEdge, src, dst, label});
-  }
-  return OkStatus();
-}
-
-Status AccessControlEngine::FinishMutation() {
+void AccessControlEngine::FinishMutation() {
   if (effective_compact_threshold_ != 0 &&
       overlay_.size() >= effective_compact_threshold_ && !building_) {
-    if (!options_.background_compaction) {
-      return CompactBlockingLocked();  // publishes
-    }
     // Kick the build and fall through: the staged mutation must be
     // visible now, on a view over the *current* snapshot.
     StartBackgroundCompactionLocked();
@@ -590,7 +479,6 @@ Status AccessControlEngine::FinishMutation() {
   // publish a view carrying the new frozen overlay.
   (void)RefreshPolicySnapshotIfStale();
   PublishView();
-  return OkStatus();
 }
 
 // ---- Compaction -------------------------------------------------------------
@@ -627,32 +515,6 @@ void AccessControlEngine::FoldOverlayIntoGraph(const DeltaOverlay& frozen) {
   });
 }
 
-Status AccessControlEngine::CompactBlockingLocked() {
-  CompactionJob job;
-  job.prev_idx = idx_;
-  job.frozen = overlay_;
-  job.first_new_edge = static_cast<EdgeId>(graph_->EdgeSlotCount());
-  bool incremental = false;
-  auto bundle = BuildNextBundle(job, &incremental);
-  if (!bundle.ok()) return bundle.status();
-
-  FoldOverlayIntoGraph(job.frozen);
-  idx_ = std::move(*bundle);
-  snapshot_generation_.fetch_add(1, std::memory_order_release);
-  overlay_.Clear();
-  journal_.clear();
-  (incremental ? incremental_compactions_ : full_compactions_) += 1;
-  // Full policy rebuild: we are on the external writer's thread, where
-  // reading the store is safe — and fresh labels may fix failed binds.
-  policy_ = PolicySnapshot::Build(*store_, *graph_, *idx_, options_);
-  RecomputeEffectiveThreshold();
-  PublishView();
-  if (durable_ && durability_.snapshot_on_compaction) {
-    SARGUS_RETURN_IF_ERROR(SaveSnapshotLocked());
-  }
-  return OkStatus();
-}
-
 void AccessControlEngine::StartBackgroundCompactionLocked() {
   CompactionJob job;
   job.prev_idx = idx_;
@@ -680,26 +542,18 @@ AccessControlEngine::FinishCompactionLocked(
   snapshot_generation_.fetch_add(1, std::memory_order_release);
 
   // Replay the mutations staged during the build against the folded
-  // graph: re-running the staging logic in order re-derives the overlay
-  // relative to the *new* snapshot (an op that duplicated a folded edge
-  // turns into a no-op, a removal of one into a staged remove, and so
-  // on). Version continuity keeps (generation, version) stamps unique.
+  // graph: re-running the one staging body in order re-derives the
+  // overlay relative to the *new* snapshot (an op that duplicated a
+  // folded edge turns into a no-op, a removal of one into a staged
+  // remove, and so on). No WAL records: the originals are already
+  // logged. Version continuity keeps (generation, version) stamps unique.
   building_ = false;  // replay below must not re-journal
   const uint64_t version_base = overlay_.version();
   overlay_ = DeltaOverlay();
   overlay_.version_ = version_base;
-  for (const JournalOp& op : journal_) {
-    switch (op.kind) {
-      case JournalOp::Kind::kAddNode:
-        (void)overlay_.StageNode();
-        break;
-      case JournalOp::Kind::kAddEdge:
-        (void)StageAddEdge(op.src, op.dst, op.label);
-        break;
-      case JournalOp::Kind::kRemoveEdge:
-        (void)StageRemoveEdge(op.src, op.dst, op.label);
-        break;
-    }
+  WriteOutcome scratch;
+  for (const WriteOp& op : journal_) {
+    (void)ApplyOneLocked(op, &scratch, /*wal_batch=*/nullptr);
   }
   journal_.clear();
   (incremental ? incremental_compactions_ : full_compactions_) += 1;
@@ -713,7 +567,7 @@ AccessControlEngine::FinishCompactionLocked(
   RecomputeEffectiveThreshold();
   PublishView();
 
-  if (durable_ && durability_.snapshot_on_compaction) {
+  if (durable_) {
     // The fold rewrote the graph and reset the overlay; the previous
     // bundle no longer covers the on-disk WAL's history, so publish a
     // fresh one (and truncate the WAL it covers) before releasing the
@@ -799,7 +653,6 @@ Status AccessControlEngine::Compact() {
   std::lock_guard<std::mutex> lock(mutation_mu_);
   SARGUS_RETURN_IF_ERROR(CheckMutable());
   if (overlay_.empty()) return OkStatus();
-  if (!options_.background_compaction) return CompactBlockingLocked();
   if (building_) {
     // A build is in flight; have its completion chain a follow-up that
     // folds everything staged meanwhile. WaitForCompaction() drains
@@ -823,15 +676,6 @@ bool AccessControlEngine::compaction_in_flight() const {
 
 // ---- Durability -------------------------------------------------------------
 
-Status AccessControlEngine::WalLogLocked(storage::WalRecord::Kind kind,
-                                         NodeId src, NodeId dst,
-                                         LabelId label) {
-  if (!durable_ || wal_replaying_) return OkStatus();
-  // The inline (async_mutations off) path: one record, synced per the
-  // configured policy. The batched path goes through WalCommitBatchLocked.
-  return wal_.Append(MakeWalRecordLocked(kind, src, dst, label));
-}
-
 Status AccessControlEngine::SaveSnapshotLocked() {
   if (!durable_) {
     return Status::FailedPrecondition(
@@ -848,10 +692,7 @@ Status AccessControlEngine::SaveSnapshotLocked() {
       storage::WriteBundle(BundlePath(durability_dir_), payload));
   // The bundle serializes the overlay too, so every WAL record at or
   // below its stamp is covered — the file is pure history now.
-  if (durability_.truncate_wal_on_save && wal_.is_open()) {
-    return wal_.Truncate();
-  }
-  return OkStatus();
+  return wal_.Truncate();
 }
 
 Status AccessControlEngine::SaveSnapshot() {
@@ -859,8 +700,7 @@ Status AccessControlEngine::SaveSnapshot() {
   return SaveSnapshotLocked();
 }
 
-Status AccessControlEngine::EnableDurability(const std::string& dir,
-                                             DurabilityOptions durability) {
+Status AccessControlEngine::EnableDurability(const std::string& dir) {
   std::lock_guard<std::mutex> lock(mutation_mu_);
   if (!built_) {
     return Status::FailedPrecondition(
@@ -871,10 +711,8 @@ Status AccessControlEngine::EnableDurability(const std::string& dir,
         "EnableDurability requires the mutable-graph constructor");
   }
   SARGUS_RETURN_IF_ERROR(CreateDirIfMissing(dir));
-  durability_ = durability;
   durability_dir_ = dir;
-  SARGUS_ASSIGN_OR_RETURN(wal_,
-                          storage::WalWriter::Open(WalPath(dir), durability.wal_sync));
+  SARGUS_ASSIGN_OR_RETURN(wal_, storage::WalWriter::Open(WalPath(dir)));
   durable_ = true;
   // Publish a bundle covering the current state so the directory is
   // consistent (and any stale WAL records are covered) from here on.
@@ -948,7 +786,7 @@ Status AccessControlEngine::ReplayWal(std::span<const storage::WalRecord> record
 
 Result<std::unique_ptr<AccessControlEngine>> AccessControlEngine::OpenFromDir(
     const std::string& dir, SocialGraph* graph, const PolicyStore& store,
-    EngineOptions options, DurabilityOptions durability) {
+    EngineOptions options) {
   if (graph == nullptr) {
     return Status::InvalidArgument("OpenFromDir: graph must be non-null");
   }
@@ -1009,12 +847,9 @@ Result<std::unique_ptr<AccessControlEngine>> AccessControlEngine::OpenFromDir(
 
   {
     std::lock_guard<std::mutex> lock(engine->mutation_mu_);
-    engine->durability_ = durability;
     engine->durability_dir_ = dir;
     SARGUS_ASSIGN_OR_RETURN(
-        engine->wal_,
-        storage::WalWriter::Open(WalPath(dir), durability.wal_sync,
-                                 resume_size));
+        engine->wal_, storage::WalWriter::Open(WalPath(dir), resume_size));
     engine->durable_ = true;
   }
   return engine;

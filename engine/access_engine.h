@@ -35,22 +35,21 @@
 /// needs the whole stack and fails with kFailedPrecondition if it is
 /// missing.
 ///
-/// Compaction model (double-buffered, see docs/ARCHITECTURE.md): with
-/// EngineOptions::background_compaction (the default), `Compact()` —
-/// explicit or threshold-triggered — freezes a copy of the overlay and
-/// returns immediately; a dedicated compaction thread builds the next
-/// SnapshotIndexes bundle against graph ⊕ frozen-overlay (incrementally
-/// patched when the delta is insertion-only and small — see
-/// SnapshotIndexes::BuildIncremental — else a full rebuild) while the
-/// writer keeps staging mutations, which are also recorded in a replay
-/// journal. On completion the compaction thread briefly takes the
-/// writer lock, folds the frozen overlay into the SocialGraph, swaps in
-/// the new bundle, replays the journal into a fresh overlay relative to
-/// the new snapshot, and publishes — so neither readers nor the writer
-/// ever stall on an index rebuild. `WaitForCompaction()` blocks until
-/// the pipeline is idle (tests and benchmarks use it for determinism);
-/// with background_compaction off, Compact() performs the whole fold +
-/// rebuild synchronously before returning.
+/// Compaction model (double-buffered, see docs/ARCHITECTURE.md):
+/// `Compact()` — explicit or threshold-triggered — freezes a copy of the
+/// overlay and returns immediately; a dedicated compaction thread builds
+/// the next SnapshotIndexes bundle against graph ⊕ frozen-overlay
+/// (incrementally patched when the delta is insertion-only and small —
+/// see SnapshotIndexes::BuildIncremental — else a full rebuild) while
+/// the writer keeps staging mutations, which are also recorded
+/// (label-resolved) in a replay journal. On completion the compaction
+/// thread briefly takes the writer lock, folds the frozen overlay into
+/// the SocialGraph, swaps in the new bundle, replays the journal through
+/// the same staging body the write queue uses into a fresh overlay
+/// relative to the new snapshot, and publishes — so neither readers nor
+/// the writer ever stall on an index rebuild. `WaitForCompaction()`
+/// blocks until the pipeline is idle (tests and benchmarks use it for
+/// determinism).
 ///
 /// Snapshot-consistency contract: every published view owns the pairing
 /// between its snapshot indexes and its frozen overlay. While a view's
@@ -84,18 +83,14 @@
 ///    remove that too).
 ///  * MUTATIONS — `AddEdge`, `RemoveEdge`, `AddNode`, `RefreshPolicies`
 ///    (and their Submit* siblings) are safe to call from any number of
-///    threads concurrently. With EngineOptions::async_mutations (the
-///    default) every mutation is routed through the engine's
-///    MutationQueue (engine/write_queue.h): SubmitX() enqueues and
-///    returns a WriteTicket; the legacy synchronous calls are
-///    Submit+Wait shims over the same queue, so concurrent callers are
+///    threads concurrently. Every mutation is routed through the
+///    engine's MutationQueue (engine/write_queue.h): SubmitX() enqueues
+///    and returns a WriteTicket, and the synchronous calls are
+///    Submit+Wait shims over the same queue. Concurrent callers are
 ///    serialized by submission order and committed in group-commit
-///    batches (one WAL fsync + one published view per batch). This
-///    retires the old contract that pushed writer serialization onto
-///    callers. With async_mutations off the legacy inline path runs
-///    instead, and mutations revert to requiring external
-///    serialization (the mutex-serialized baseline the concurrency
-///    bench measures).
+///    batches (one WAL fsync + one published view per batch). There is
+///    one staging body: the queue, WAL replay and compaction-journal
+///    replay all run it.
 ///  * CONTROL PLANE — `RebuildIndexes`, `Compact`, `WaitForCompaction`,
 ///    `EnableDurability`, `SaveSnapshot` remain one-at-a-time calls:
 ///    externally serialize them against each other. They are safe
@@ -136,8 +131,8 @@
 /// evaluator construction — only array lookups. Rules added to the
 /// store after the last publish are invisible to served decisions until
 /// the next *external* write-path call republishes (any mutation does,
-/// or call RefreshPolicies() explicitly; a background-compaction
-/// completion deliberately reuses the frozen policy snapshot — with
+/// or call RefreshPolicies() explicitly; a compaction completion
+/// deliberately reuses the frozen policy snapshot — with
 /// refreshed automatic picks — rather than racing the store).
 
 #include <atomic>
@@ -164,33 +159,6 @@ namespace sargus {
 namespace storage {
 struct SnapshotStamp;  // snapshot_format.h
 }  // namespace storage
-
-/// Durability configuration (storage/ subsystem; see the "Durability &
-/// recovery" section of docs/ARCHITECTURE.md). An engine with
-/// EnableDurability attached logs every mutation to an append-only WAL
-/// and serializes its whole serving state (graph + overlay + prebuilt
-/// index stack) into an atomic snapshot bundle, so OpenFromDir restores
-/// a serving engine without recomputing a single index.
-struct DurabilityOptions {
-  /// fdatasync every WAL append (default): an acknowledged mutation
-  /// survives a crash. kGroupCommit fsyncs once per queued batch —
-  /// with async_mutations that is still "every acknowledged mutation
-  /// survives" (tickets complete after the batch sync) at a fraction of
-  /// the fsyncs; with the inline path it degrades single appends to
-  /// ride the next sync. kNever trades the tail for append speed;
-  /// reopen never corrupts either way (a torn tail — torn batch
-  /// included — is detected and truncated).
-  storage::WalSyncPolicy wal_sync = storage::WalSyncPolicy::kEveryRecord;
-  /// Truncate the WAL once a bundle covering it is durably published.
-  /// Tests turn this off to exercise the crash window between "bundle
-  /// renamed into place" and "WAL truncated" — recovery must skip the
-  /// covered records either way.
-  bool truncate_wal_on_save = true;
-  /// Re-save the bundle whenever a compaction completes or
-  /// RebuildIndexes runs. Folds rewrite the graph and reset the overlay;
-  /// without a fresh bundle the on-disk state would stop covering them.
-  bool snapshot_on_compaction = true;
-};
 
 class AccessControlEngine {
  public:
@@ -229,12 +197,12 @@ class AccessControlEngine {
   Status RebuildIndexes();
 
   /// Stages edge src -[label]-> dst as added and publishes a view that
-  /// sees it. O(overlay size) — flat in |V| — and, under background
-  /// compaction, never blocks on a rebuild even when it trips the
-  /// threshold. Idempotent when the logical edge already exists.
-  /// Interns an unknown label name. kInvalidArgument for out-of-range
-  /// endpoints, kFailedPrecondition before RebuildIndexes or on a
-  /// const-graph engine. (Mutable-graph constructor only.)
+  /// sees it. O(overlay size) — flat in |V| — and never blocks on a
+  /// rebuild, even when it trips the threshold. Idempotent when the
+  /// logical edge already exists. Interns an unknown label name.
+  /// kInvalidArgument for out-of-range endpoints, kFailedPrecondition
+  /// before RebuildIndexes or on a const-graph engine. (Mutable-graph
+  /// constructor only.)
   Status AddEdge(NodeId src, NodeId dst, const std::string& label);
   Status AddEdge(NodeId src, NodeId dst, LabelId label);
 
@@ -253,15 +221,14 @@ class AccessControlEngine {
 
   /// Folds every staged mutation into the SocialGraph, clears the
   /// overlay, installs a fresh (or incrementally patched) index bundle,
-  /// and publishes. No-op on an empty overlay. With background
-  /// compaction (default) this returns as soon as the frozen inputs are
-  /// captured — the build, fold and publish happen on the compaction
-  /// thread (WaitForCompaction() for synchronous semantics); a second
-  /// Compact() while one is in flight makes its completion chain a
-  /// follow-up that folds everything staged meanwhile. Views acquired
-  /// before and
-  /// after see the same logical graph; only the cost profile changes
-  /// (index pruning and the join index come back online). Old views
+  /// and publishes. No-op on an empty overlay. Returns as soon as the
+  /// frozen inputs are captured — the build, fold and publish happen on
+  /// the compaction thread (WaitForCompaction() for synchronous
+  /// semantics); a second Compact() while one is in flight makes its
+  /// completion chain a follow-up that folds everything staged
+  /// meanwhile. Views acquired before and after see the same logical
+  /// graph; only the cost profile changes (index pruning and the join
+  /// index come back online). Old views
   /// stay valid: they answer against their frozen snapshot + overlay
   /// for as long as they are held.
   Status Compact();
@@ -287,10 +254,9 @@ class AccessControlEngine {
   // returns a future-backed WriteTicket immediately; the dedicated
   // writer thread group-commits queued mutations in batches (one WAL
   // fsync + one published view per batch — see engine/write_queue.h).
-  // ticket.Wait() returns the same Status the synchronous call would
-  // have, plus the (generation, overlay_version) stamp the mutation
-  // landed in. Works regardless of async_mutations (the option only
-  // controls whether the *legacy* calls above shim through the queue).
+  // ticket.Wait() returns the same Status the synchronous call above
+  // returns (it is a Submit+Wait shim), plus the (generation,
+  // overlay_version) stamp the mutation landed in.
 
   WriteTicket SubmitAddEdge(NodeId src, NodeId dst, const std::string& label);
   WriteTicket SubmitAddEdge(NodeId src, NodeId dst, LabelId label);
@@ -314,17 +280,16 @@ class AccessControlEngine {
 
   /// Attaches a durability directory: saves an initial bundle covering
   /// the current state, opens (or creates) the WAL, and from here on
-  /// logs every mutation before it returns. Requires built indexes and
+  /// logs every mutation before its ticket completes — one fdatasync
+  /// per non-empty group-commit batch. Requires built indexes and
   /// the mutable-graph constructor. Idempotent in effect: calling it on
   /// a directory with stale files simply publishes a fresh bundle that
   /// covers everything.
-  Status EnableDurability(const std::string& dir,
-                          DurabilityOptions durability = {});
+  Status EnableDurability(const std::string& dir);
 
   /// Serializes the current serving state into the bundle (atomic
-  /// replace) and truncates the WAL it covers (unless the truncate knob
-  /// is off). Also invoked automatically at every compaction completion
-  /// and RebuildIndexes when snapshot_on_compaction is set.
+  /// replace) and truncates the WAL it covers. Also invoked
+  /// automatically at every compaction completion and RebuildIndexes.
   Status SaveSnapshot();
 
   /// Restores an engine from a durability directory: mmap + verify the
@@ -339,7 +304,7 @@ class AccessControlEngine {
   /// graph); kDataLoss on corruption.
   static Result<std::unique_ptr<AccessControlEngine>> OpenFromDir(
       const std::string& dir, SocialGraph* graph, const PolicyStore& store,
-      EngineOptions options = {}, DurabilityOptions durability = {});
+      EngineOptions options = {});
 
   bool durable() const { return durable_; }
   /// Current WAL file size in bytes (tests/benchmarks).
@@ -434,17 +399,6 @@ class AccessControlEngine {
  private:
   friend class MutationQueue;  // calls ApplyWriteBatch from the writer thread
 
-  /// One replayable writer operation staged while a compaction build is
-  /// in flight. Replaying the sequence against the folded graph
-  /// re-derives the overlay relative to the *new* snapshot.
-  struct JournalOp {
-    enum class Kind : uint8_t { kAddEdge, kRemoveEdge, kAddNode };
-    Kind kind = Kind::kAddEdge;
-    NodeId src = 0;
-    NodeId dst = 0;
-    LabelId label = kInvalidLabel;
-  };
-
   /// Frozen inputs one background compaction builds against.
   struct CompactionJob {
     std::shared_ptr<const SnapshotIndexes> prev_idx;
@@ -463,11 +417,6 @@ class AccessControlEngine {
   /// Ring push; caller holds audit_mu_ and checked audit_capacity > 0.
   void PushAuditLocked(const AccessDecision& decision) const;
 
-  /// Shared AddEdge/RemoveEdge staging logic after label resolution;
-  /// journals the op when a compaction build is in flight.
-  Status StageAddEdge(NodeId src, NodeId dst, LabelId label);
-  Status StageRemoveEdge(NodeId src, NodeId dst, LabelId label);
-
   /// The group-commit body, called by the MutationQueue writer thread
   /// (and by WAL replay): applies `ops` in order under ONE mutation_mu_
   /// acquisition, collecting each op's WAL record as it stages, then
@@ -475,13 +424,15 @@ class AccessControlEngine {
   /// fsync) and publishes ONE view. outcomes[i] receives op i's status
   /// and the per-op (generation, overlay_version) stamp — identical to
   /// the stamp op i's WAL record carries. Errors are isolated per op
-  /// (a bad op fails only its own outcome) except batch-wide failures
-  /// (WAL append, synchronous compaction), which overwrite every
-  /// previously-OK outcome in the batch.
+  /// (a bad op fails only its own outcome) except a failed WAL append,
+  /// which overwrites every previously-OK outcome in the batch.
   void ApplyWriteBatch(std::span<const WriteOp> ops, WriteOutcome* outcomes);
-  /// Stages one op (no WAL, no publish); fills `out`'s stamp/node and
-  /// appends the op's WAL record to `wal_batch` on success. Caller
-  /// holds mutation_mu_.
+  /// The engine's one mutation body: resolves the label, stages one op
+  /// (no WAL write, no publish), fills `out->node` for kAddNode, appends
+  /// the op's WAL record to `wal_batch` (when non-null) and journals the
+  /// label-resolved op while a compaction build is in flight. The queue,
+  /// WAL replay and journal replay (wal_batch = nullptr) all run it.
+  /// Caller holds mutation_mu_.
   Status ApplyOneLocked(const WriteOp& op, WriteOutcome* out,
                         std::vector<storage::WalRecord>* wal_batch);
   /// Builds one stamped record from the current writer state. Caller
@@ -499,8 +450,8 @@ class AccessControlEngine {
   /// freshly opened bundle never pays the map rebuild on the WAL-replay
   /// path).
   bool EdgeInBaseLocked(NodeId src, NodeId dst, LabelId label) const;
-  /// Post-staging tail: kick/perform compaction at threshold, publish.
-  Status FinishMutation();
+  /// Post-staging tail: kick a compaction at threshold, publish.
+  void FinishMutation();
   /// Mutation-entry guard: mutable graph + built indexes.
   Status CheckMutable() const;
   /// Staged endpoints must lie inside the logical node range (snapshot
@@ -510,17 +461,13 @@ class AccessControlEngine {
 
   /// Builds the next bundle for `job`: the incremental patch when
   /// applicable, the full merged rebuild otherwise. Lock-free — this is
-  /// the expensive part both compaction modes share. Sets
-  /// `*incremental` to which path ran.
+  /// the expensive part. Sets `*incremental` to which path ran.
   Result<std::shared_ptr<const SnapshotIndexes>> BuildNextBundle(
       const CompactionJob& job, bool* incremental) const;
   /// Applies `frozen` to the mutable graph: staged nodes first, then
   /// removals, then additions in the frozen copy's iteration order (the
   /// order BuildMerged predicted edge ids in).
   void FoldOverlayIntoGraph(const DeltaOverlay& frozen);
-  /// Synchronous compaction (background_compaction off, and the
-  /// threshold path in that mode). Caller holds mutation_mu_.
-  Status CompactBlockingLocked();
   /// Captures the frozen inputs, starts/wakes the compaction thread.
   /// Caller holds mutation_mu_.
   void StartBackgroundCompactionLocked();
@@ -537,11 +484,6 @@ class AccessControlEngine {
   void RecomputeEffectiveThreshold();
   /// SaveSnapshot body; caller holds mutation_mu_.
   Status SaveSnapshotLocked();
-  /// Appends one mutation record stamped with the current (generation,
-  /// overlay version). No-op unless durable (and not mid-replay). Caller
-  /// holds mutation_mu_; pass kInvalidLabel for label-less kinds.
-  Status WalLogLocked(storage::WalRecord::Kind kind, NodeId src, NodeId dst,
-                      LabelId label);
   /// Re-applies the uncovered suffix of `records` through
   /// ApplyWriteBatch in bounded batches (with WAL re-appends
   /// suppressed), so recovery pays one view publication per batch
@@ -571,8 +513,9 @@ class AccessControlEngine {
   /// this object.
   DeltaOverlay overlay_;
   /// Ops staged while a compaction build is in flight (building_), in
-  /// order; replayed at completion. Guarded by mutation_mu_.
-  std::vector<JournalOp> journal_;
+  /// order, with labels resolved to ids; replayed through ApplyOneLocked
+  /// at completion. Guarded by mutation_mu_.
+  std::vector<WriteOp> journal_;
   bool building_ = false;  // guarded by mutation_mu_
   /// Explicit Compact() arrived while a build was in flight: fold the
   /// journal leftovers in a chained compaction at completion.
@@ -591,7 +534,7 @@ class AccessControlEngine {
 
   /// Compaction-thread machinery. comp_state_/comp_shutdown_/comp_job_
   /// are guarded by comp_mu_; the worker is started lazily on the first
-  /// background compaction.
+  /// compaction.
   enum class CompState { kIdle, kQueued, kBuilding };
   mutable std::mutex comp_mu_;
   mutable std::condition_variable comp_cv_;
@@ -622,7 +565,6 @@ class AccessControlEngine {
   bool durable_ = false;
   bool wal_replaying_ = false;
   std::string durability_dir_;
-  DurabilityOptions durability_;
   storage::WalWriter wal_;
 
   /// The MPSC write front end (engine/write_queue.h). Constructed with

@@ -100,30 +100,12 @@ struct EngineOptions {
   /// disables auto-compaction (the overlay then grows until an explicit
   /// Compact()).
   size_t compact_threshold = kCompactThresholdAuto;
-  /// Run Compact() (explicit and threshold-triggered) on the engine's
-  /// dedicated compaction thread: the next index bundle is built
-  /// against a frozen graph+overlay while the writer keeps staging
-  /// mutations, which are replayed onto the new snapshot when it
-  /// publishes. Off = the pre-double-buffering behavior: Compact()
-  /// blocks the writer for the whole rebuild (kept for benchmarks and
-  /// for callers that want strict synchronous semantics without
-  /// WaitForCompaction()).
-  bool background_compaction = true;
   /// Compactions whose staged delta is insertion-only and no larger
   /// than this fraction of the snapshot's edges patch the line graph /
   /// oracle incrementally instead of rebuilding them (see
   /// SnapshotIndexes::BuildIncremental). 0 disables incremental
   /// maintenance.
   double incremental_max_fraction = 0.05;
-  /// Route the legacy synchronous mutation calls (AddEdge / RemoveEdge /
-  /// AddNode / RefreshPolicies) through the engine's MPSC MutationQueue
-  /// as Submit+Wait shims (engine/write_queue.h): mutations become safe
-  /// to call from any number of threads, serialized by submission order
-  /// and committed in group-commit batches. Off = the pre-queue inline
-  /// path, which requires callers to serialize mutations externally
-  /// (kept as the mutex-serialized baseline bench_concurrency measures
-  /// the queue against). The SubmitX() surface works either way.
-  bool async_mutations = true;
   /// Mutations the queue holds before Submit blocks (backpressure).
   size_t write_queue_capacity = 4096;
   /// Most mutations the writer thread drains into one group-commit

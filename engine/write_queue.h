@@ -5,11 +5,10 @@
 /// \brief MutationQueue: the engine's MPSC write front end — any thread
 /// submits mutations, one dedicated writer thread group-commits them.
 ///
-/// Before this subsystem the engine's mutation surface carried a
-/// single-writer contract: N producers had to serialize AddEdge /
-/// RemoveEdge / AddNode / RefreshPolicies behind an external mutex, and
-/// every mutation paid its own WAL fsync and its own O(overlay) view
-/// republication. The queue turns that into a batching problem:
+/// The queue is the engine's only write path: every AddEdge / RemoveEdge
+/// / AddNode / RefreshPolicies, from any number of threads, becomes a
+/// queued op, and the WAL fsync and the O(overlay) view republication
+/// are paid once per batch rather than once per mutation:
 ///
 ///   * **Submission** — SubmitX() from any thread copies the operation
 ///     into a bounded MPSC queue and returns a WriteTicket immediately.
@@ -20,30 +19,26 @@
 ///   * **Group commit** — a dedicated writer thread drains the queue in
 ///     bounded batches (MutationQueueOptions::max_batch), stages every
 ///     op of a batch into the engine's DeltaOverlay, appends all WAL
-///     records with ONE Wal::AppendBatch (one fsync under
-///     WalSyncPolicy::kGroupCommit), and publishes ONE read view for
-///     the whole batch — amortizing both the fsync and the O(overlay)
-///     republication that previously ran per mutation.
+///     records with ONE WalWriter::AppendBatch (one fsync per non-empty
+///     batch — the WAL's only sync rule), and publishes ONE read view
+///     for the whole batch.
 ///   * **Ticketed completion** — each WriteTicket resolves to a
 ///     WriteOutcome: the per-op Status (errors are isolated — one bad
 ///     op fails only its own ticket, the rest of the batch commits) and
 ///     the (generation, overlay_version) stamp the mutation landed in,
 ///     exactly the stamp its WAL record carries and the stamp
 ///     AccessDecision reports. Wait() blocks until the batch containing
-///     the op has been staged, WAL-committed, and published, so a
-///     returned OK means the same thing the old synchronous call meant.
+///     the op has been staged, WAL-committed, and published.
 ///
 /// Shutdown: tickets are never abandoned. Ops still queued when the
 /// queue shuts down complete with kUnavailable without being applied,
 /// and Submit after shutdown returns a ticket born kUnavailable.
 ///
-/// The engine owns one MutationQueue and (by default —
-/// EngineOptions::async_mutations) routes its legacy synchronous
-/// mutation calls through it as Submit + Wait shims, which is what
-/// retires the external single-writer contract: mutations are now safe
-/// to call from any number of threads concurrently. The writer thread
-/// is started lazily on the first submission, so read-only engines
-/// never pay for it.
+/// The engine owns one MutationQueue; its synchronous mutation calls
+/// are Submit + Wait shims over it, so mutations are safe to call from
+/// any number of threads concurrently. The writer thread is started
+/// lazily on the first submission, so read-only engines never pay for
+/// it.
 
 #include <condition_variable>
 #include <cstdint>
@@ -62,8 +57,8 @@ class AccessControlEngine;
 
 /// One queued writer operation. AddEdge/RemoveEdge carry either a
 /// resolved LabelId or (by_name) a label name — names are resolved on
-/// the writer thread under the same rules as the synchronous calls
-/// (AddEdge interns unknown names, RemoveEdge fails kNotFound).
+/// the writer thread (AddEdge interns unknown names, RemoveEdge fails
+/// kNotFound). The compaction journal keeps ops in resolved form.
 struct WriteOp {
   enum class Kind : uint8_t {
     kAddEdge,
@@ -82,8 +77,8 @@ struct WriteOp {
 
 /// What a WriteTicket resolves to.
 struct WriteOutcome {
-  /// The per-op status — exactly what the synchronous call would have
-  /// returned. kUnavailable when the queue shut down before the op was
+  /// The per-op status — exactly what the synchronous call returns.
+  /// kUnavailable when the queue shut down before the op was
   /// applied (the op was NOT applied).
   Status status = OkStatus();
   /// The (snapshot_generation, overlay_version) stamp the mutation
@@ -108,7 +103,7 @@ class WriteTicket {
 
   /// Blocks until the writer thread commits (or refuses) the mutation,
   /// then returns the outcome. An OK outcome means the op is staged,
-  /// WAL-durable (per the engine's sync policy), and visible on the
+  /// WAL-durable (when durability is enabled), and visible on the
   /// currently published view.
   WriteOutcome Wait() const;
 

@@ -149,10 +149,8 @@ Result<WalContents> ReadWal(const std::string& path) {
 }
 
 Result<WalWriter> WalWriter::Open(const std::string& path,
-                                  WalSyncPolicy sync_policy,
                                   int64_t resume_size) {
   WalWriter out;
-  out.sync_policy_ = sync_policy;
   SARGUS_ASSIGN_OR_RETURN(out.file_, AppendFile::Open(path, resume_size));
   if (out.file_.size() == 0) {
     const std::vector<uint8_t> header = EncodeWalFileHeader();
@@ -168,17 +166,6 @@ Result<WalWriter> WalWriter::Open(const std::string& path,
   return out;
 }
 
-Status WalWriter::Append(const WalRecord& rec) {
-  const std::vector<uint8_t> bytes = EncodeWalRecord(rec);
-  SARGUS_RETURN_IF_ERROR(file_.Append(bytes));
-  append_count_ += 1;
-  if (sync_policy_ == WalSyncPolicy::kEveryRecord) {
-    sync_count_ += 1;
-    return file_.Sync();
-  }
-  return OkStatus();
-}
-
 Status WalWriter::AppendBatch(std::span<const WalRecord> recs) {
   if (recs.empty()) return OkStatus();
   // One gathered write: sealing the batch into a single buffer keeps the
@@ -191,11 +178,8 @@ Status WalWriter::AppendBatch(std::span<const WalRecord> recs) {
   }
   SARGUS_RETURN_IF_ERROR(file_.Append(bytes));
   append_count_ += recs.size();
-  if (sync_policy_ != WalSyncPolicy::kNever) {
-    sync_count_ += 1;
-    return file_.Sync();
-  }
-  return OkStatus();
+  sync_count_ += 1;
+  return file_.Sync();
 }
 
 Status WalWriter::Truncate() { return file_.TruncateTo(kWalFileHeaderBytes); }

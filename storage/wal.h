@@ -6,11 +6,14 @@
 /// length-prefixed, checksummed writer operations.
 ///
 /// Every engine mutation (AddEdge / RemoveEdge / AddNode / policy
-/// refresh) appends one record *after* it is staged and *before* the
-/// call returns, stamped with the (snapshot_generation, overlay_version)
-/// the mutation landed in — the same stamps AccessDecision carries. A
-/// snapshot bundle (storage/snapshot_format.h) is stamped the same way,
-/// which yields the recovery rule:
+/// refresh) is logged as one record *after* it is staged and *before*
+/// its ticket completes, stamped with the (snapshot_generation,
+/// overlay_version) the mutation landed in — the same stamps
+/// AccessDecision carries. The engine's write queue hands each
+/// group-commit batch's records to WalWriter::AppendBatch, which syncs
+/// once per non-empty batch. A snapshot bundle
+/// (storage/snapshot_format.h) is stamped the same way, which yields the
+/// recovery rule:
 ///
 ///     replay a record  iff  (gen, ver) > (bundle.gen, bundle.ver)
 ///                           (lexicographic)
@@ -59,24 +62,6 @@ inline constexpr size_t kWalFileHeaderBytes = 16;
 /// Cap on one record's payload; anything larger is corruption.
 inline constexpr uint32_t kWalMaxPayloadBytes = 1 << 20;
 
-/// When appends are made durable.
-///
-///  * kEveryRecord — fdatasync each Append (a crashed writer loses
-///    nothing it acknowledged). AppendBatch still syncs only once, at
-///    the end of the batch: durability is equivalent because nothing in
-///    the batch is acknowledged until AppendBatch returns.
-///  * kGroupCommit — fdatasync once per AppendBatch; single Appends are
-///    NOT synced (they ride with the next batch sync, an explicit
-///    Sync(), or the OS). Pair with the engine's MutationQueue, whose
-///    tickets complete only after the batch sync — then an acknowledged
-///    mutation still survives a crash, at one fsync per batch instead
-///    of one per record.
-///  * kNever — leave flushing to the OS (fast, loses the unsynced tail
-///    on power failure — still never corrupts: the tail, torn batch
-///    included, is detected and truncated to the last whole record on
-///    reopen).
-enum class WalSyncPolicy { kEveryRecord, kGroupCommit, kNever };
-
 struct WalRecord {
   enum class Kind : uint8_t {
     kAddEdge = 1,
@@ -119,44 +104,38 @@ Result<WalContents> ReadWal(const std::string& path);
 class WalWriter {
  public:
   static Result<WalWriter> Open(const std::string& path,
-                                WalSyncPolicy sync_policy,
                                 int64_t resume_size = -1);
 
   WalWriter() = default;
   WalWriter(WalWriter&&) noexcept = default;
   WalWriter& operator=(WalWriter&&) noexcept = default;
 
-  /// Appends one record (and fdatasyncs under kEveryRecord only).
-  Status Append(const WalRecord& rec);
-
-  /// Group commit: seals all of `recs` into one gathered write and
-  /// fdatasyncs ONCE at the end (unless kNever). On return every record
-  /// of the batch is durable per the policy — the engine completes the
-  /// batch's tickets only after this returns. A crash mid-write leaves
-  /// a torn batch tail that ReadWal truncates to the last whole record;
-  /// record boundaries within the batch are preserved (each record
-  /// carries its own length prefix + checksum), so a prefix of the
-  /// batch can survive — which is safe, because nothing was
-  /// acknowledged.
+  /// The only append entry point: seals all of `recs` into one gathered
+  /// write and fdatasyncs ONCE at the end; an empty batch writes and
+  /// syncs nothing. On return every record of the batch is durable — the
+  /// engine completes the batch's tickets only after this returns. A
+  /// crash mid-write leaves a torn batch tail that ReadWal truncates to
+  /// the last whole record; record boundaries within the batch are
+  /// preserved (each record carries its own length prefix + checksum),
+  /// so a prefix of the batch can survive — which is safe, because
+  /// nothing was acknowledged.
   Status AppendBatch(std::span<const WalRecord> recs);
 
   /// Drops every record: the log shrinks back to its file header. Called
   /// after a snapshot bundle covering the log is durably published.
   Status Truncate();
 
-  Status Sync() { return file_.Sync(); }
   uint64_t size() const { return file_.size(); }
   bool is_open() const { return file_.is_open(); }
 
-  /// Records appended (Append + AppendBatch) and fdatasyncs issued by
-  /// appends over this writer's lifetime — the "one fsync per batch"
-  /// tests read these. Truncate/Open-header syncs are not counted.
+  /// Records appended and fdatasyncs issued by AppendBatch over this
+  /// writer's lifetime — the "one fsync per batch" tests read these.
+  /// Truncate/Open-header syncs are not counted.
   uint64_t append_count() const { return append_count_; }
   uint64_t sync_count() const { return sync_count_; }
 
  private:
   AppendFile file_;
-  WalSyncPolicy sync_policy_ = WalSyncPolicy::kEveryRecord;
   uint64_t append_count_ = 0;
   uint64_t sync_count_ = 0;
 };

@@ -225,8 +225,31 @@ TEST(CompactionStraddle, MutationsDuringBuildAreReplayedNotLost) {
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(f.engine->AddEdge(0, *id, co).ok());
   mirror.Add(0, static_cast<NodeId>(mirror.g.AddNode()), co);
+  // A label *name* first interned during the build: the journal keeps
+  // the resolved id, so the completion replay needs no dictionary lookup.
+  ASSERT_EQ(f.g.labels().Lookup("mentor"), kInvalidLabel);
+  ASSERT_TRUE(f.engine->AddEdge(0, 3, "mentor").ok());
+  const LabelId mentor = f.g.labels().Lookup("mentor");
+  ASSERT_NE(mentor, kInvalidLabel);
+  ASSERT_EQ(mirror.g.labels().Intern("mentor"), mentor);
+  mirror.Add(0, 3, mentor);
+  // A second resource whose rule walks the new label, bound by the
+  // refresh now that the name exists.
+  const ResourceId mentored = f.store.RegisterResource(/*owner=*/0, "notes");
+  (void)f.store.AddRuleFromPaths(mentored, {"mentor[1]"}).ValueOrDie();
+  ASSERT_TRUE(f.engine->RefreshPolicies().ok());
+  const BoundPathExpression mentor_expr = MustBind(mirror.g, "mentor[1]");
+  auto agree_mentor = [&](const char* when) {
+    for (NodeId req = 0; req < 6; ++req) {
+      auto r = f.engine->CheckAccess({.requester = req, .resource = mentored});
+      ASSERT_TRUE(r.ok()) << when << " " << r.status().ToString();
+      const bool expected = req == 0 || mirror.Match(mentor_expr, 0, req);
+      EXPECT_EQ(r->granted, expected) << when << " requester " << req;
+    }
+  };
   EXPECT_EQ(f.engine->snapshot_generation(), gen);  // still building
   agree("during build");
+  agree_mentor("during build");
   EXPECT_TRUE(f.Granted(*id));
 
   // ...and replayed onto the new snapshot at completion: same answers,
@@ -236,7 +259,9 @@ TEST(CompactionStraddle, MutationsDuringBuildAreReplayedNotLost) {
   EXPECT_EQ(f.engine->snapshot_generation(), gen + 1);
   EXPECT_FALSE(f.engine->overlay().empty());
   agree("after completion");
+  agree_mentor("after completion");
   EXPECT_TRUE(f.Granted(*id));
+  EXPECT_TRUE(f.engine->overlay().IsStagedAdd(0, 3, mentor));
 
   // The folded graph holds the pre-freeze delta only: the 0-c->5 add
   // (withdrawn later, so masked by the replayed overlay), not the
@@ -244,6 +269,7 @@ TEST(CompactionStraddle, MutationsDuringBuildAreReplayedNotLost) {
   EXPECT_TRUE(f.g.FindEdge(0, 5, co).has_value());
   EXPECT_FALSE(f.g.FindEdge(2, 3, co).has_value());
   EXPECT_FALSE(f.g.FindEdge(0, 1, co).has_value());  // still staged
+  EXPECT_FALSE(f.g.FindEdge(0, 3, mentor).has_value());
 
   // A second compaction folds the leftovers; decisions never waver.
   ASSERT_TRUE(f.engine->Compact().ok());
@@ -252,7 +278,9 @@ TEST(CompactionStraddle, MutationsDuringBuildAreReplayedNotLost) {
   EXPECT_TRUE(f.g.FindEdge(0, 1, co).has_value());
   EXPECT_FALSE(f.g.FindEdge(0, 5, co).has_value());
   EXPECT_FALSE(f.g.FindEdge(4, 3, co).has_value());
+  EXPECT_TRUE(f.g.FindEdge(0, 3, mentor).has_value());
   agree("after second compaction");
+  agree_mentor("after second compaction");
   (void)fr;
 }
 

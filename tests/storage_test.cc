@@ -135,9 +135,9 @@ TEST(Wal, RoundTrip) {
   const std::string path = dir.File("wal.log");
   const auto recs = SampleRecords();
   {
-    auto w = storage::WalWriter::Open(path, storage::WalSyncPolicy::kNever);
+    auto w = storage::WalWriter::Open(path);
     ASSERT_TRUE(w.ok()) << w.status().ToString();
-    for (const auto& r : recs) ASSERT_TRUE(w->Append(r).ok());
+    for (const auto& r : recs) ASSERT_TRUE(w->AppendBatch({&r, 1}).ok());
   }
   auto contents = storage::ReadWal(path);
   ASSERT_TRUE(contents.ok()) << contents.status().ToString();
@@ -157,9 +157,9 @@ TEST(Wal, TornTailIsTruncatedOnReopen) {
   const std::string path = dir.File("wal.log");
   const auto recs = SampleRecords();
   {
-    auto w = storage::WalWriter::Open(path, storage::WalSyncPolicy::kNever);
+    auto w = storage::WalWriter::Open(path);
     ASSERT_TRUE(w.ok());
-    for (const auto& r : recs) ASSERT_TRUE(w->Append(r).ok());
+    for (const auto& r : recs) ASSERT_TRUE(w->AppendBatch({&r, 1}).ok());
   }
   // Tear the last record: drop its final byte (the checksum's tail).
   auto bytes = ReadAll(path);
@@ -173,10 +173,10 @@ TEST(Wal, TornTailIsTruncatedOnReopen) {
 
   // A recovering writer resumes at valid_bytes; the torn bytes are gone
   // and a fresh append lands cleanly after the surviving prefix.
-  auto w = storage::WalWriter::Open(path, storage::WalSyncPolicy::kNever,
+  auto w = storage::WalWriter::Open(path,
                                     static_cast<int64_t>(contents->valid_bytes));
   ASSERT_TRUE(w.ok()) << w.status().ToString();
-  ASSERT_TRUE(w->Append(recs[0]).ok());
+  ASSERT_TRUE(w->AppendBatch({&recs[0], 1}).ok());
   auto again = storage::ReadWal(path);
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->tail_status.ok());
@@ -188,9 +188,10 @@ TEST(Wal, HeaderDamageIsInvalidArgument) {
   TempDir dir;
   const std::string path = dir.File("wal.log");
   {
-    auto w = storage::WalWriter::Open(path, storage::WalSyncPolicy::kNever);
+    auto w = storage::WalWriter::Open(path);
     ASSERT_TRUE(w.ok());
-    ASSERT_TRUE(w->Append(SampleRecords()[0]).ok());
+    const WalRecord rec = SampleRecords()[0];
+    ASSERT_TRUE(w->AppendBatch({&rec, 1}).ok());
   }
   auto bytes = ReadAll(path);
   bytes[3] ^= 0x40;  // magic
@@ -203,9 +204,11 @@ TEST(Wal, HeaderDamageIsInvalidArgument) {
 TEST(Wal, TruncateResetsToHeader) {
   TempDir dir;
   const std::string path = dir.File("wal.log");
-  auto w = storage::WalWriter::Open(path, storage::WalSyncPolicy::kNever);
+  auto w = storage::WalWriter::Open(path);
   ASSERT_TRUE(w.ok());
-  for (const auto& r : SampleRecords()) ASSERT_TRUE(w->Append(r).ok());
+  for (const auto& r : SampleRecords()) {
+    ASSERT_TRUE(w->AppendBatch({&r, 1}).ok());
+  }
   ASSERT_TRUE(w->Truncate().ok());
   EXPECT_EQ(w->size(), storage::kWalFileHeaderBytes);
   auto contents = storage::ReadWal(path);
@@ -214,72 +217,40 @@ TEST(Wal, TruncateResetsToHeader) {
   EXPECT_TRUE(contents->records.empty());
 }
 
-// AppendBatch round-trips byte-identically to N single Appends, and the
-// fsync accounting matches the policy table: kGroupCommit syncs once
-// per batch and never for single appends; kEveryRecord syncs every
-// single append but still only once per batch (nothing in a batch is
-// acknowledged before AppendBatch returns); kNever never syncs.
+// The WAL's single sync rule: one fdatasync per non-empty AppendBatch
+// and none for an empty one. A batch's bytes are identical to the same
+// records appended as one-record batches — record boundaries inside the
+// batch are preserved.
 TEST(Wal, AppendBatchRoundTripAndSyncCounters) {
   TempDir dir;
   const auto recs = SampleRecords();
-
+  const std::string path = dir.File("batch.log");
   {
-    const std::string path = dir.File("group.log");
-    auto w = storage::WalWriter::Open(path,
-                                      storage::WalSyncPolicy::kGroupCommit);
+    auto w = storage::WalWriter::Open(path);
     ASSERT_TRUE(w.ok());
     ASSERT_TRUE(w->AppendBatch(recs).ok());
     EXPECT_EQ(w->append_count(), recs.size());
     EXPECT_EQ(w->sync_count(), 1u);
+    const uint64_t size = w->size();
     ASSERT_TRUE(w->AppendBatch({}).ok());  // empty batch: no write, no sync
     EXPECT_EQ(w->append_count(), recs.size());
     EXPECT_EQ(w->sync_count(), 1u);
-    ASSERT_TRUE(w->Append(recs[0]).ok());  // single append rides, no sync
-    EXPECT_EQ(w->append_count(), recs.size() + 1);
-    EXPECT_EQ(w->sync_count(), 1u);
+    EXPECT_EQ(w->size(), size);
+  }
+  auto contents = storage::ReadWal(path);
+  ASSERT_TRUE(contents.ok());
+  EXPECT_TRUE(contents->tail_status.ok());
+  ExpectRecordsEq(contents->records, recs, recs.size());
 
-    auto contents = storage::ReadWal(path);
-    ASSERT_TRUE(contents.ok());
-    EXPECT_TRUE(contents->tail_status.ok());
-    ASSERT_EQ(contents->records.size(), recs.size() + 1);
-    ExpectRecordsEq(std::vector<WalRecord>(
-                        contents->records.begin(),
-                        contents->records.begin() +
-                            static_cast<std::ptrdiff_t>(recs.size())),
-                    recs, recs.size());
-  }
+  const std::string singles = dir.File("singles.log");
   {
-    const std::string path = dir.File("every.log");
-    auto w = storage::WalWriter::Open(path,
-                                      storage::WalSyncPolicy::kEveryRecord);
+    auto w = storage::WalWriter::Open(singles);
     ASSERT_TRUE(w.ok());
-    ASSERT_TRUE(w->Append(recs[0]).ok());
-    ASSERT_TRUE(w->Append(recs[1]).ok());
-    EXPECT_EQ(w->sync_count(), 2u);
-    ASSERT_TRUE(w->AppendBatch(recs).ok());
-    EXPECT_EQ(w->append_count(), recs.size() + 2);
-    EXPECT_EQ(w->sync_count(), 3u);  // the whole batch cost one more
+    for (const auto& r : recs) ASSERT_TRUE(w->AppendBatch({&r, 1}).ok());
+    EXPECT_EQ(w->append_count(), recs.size());
+    EXPECT_EQ(w->sync_count(), recs.size());  // one per non-empty batch
   }
-  {
-    const std::string path = dir.File("never.log");
-    auto w = storage::WalWriter::Open(path, storage::WalSyncPolicy::kNever);
-    ASSERT_TRUE(w.ok());
-    ASSERT_TRUE(w->Append(recs[0]).ok());
-    ASSERT_TRUE(w->AppendBatch(recs).ok());
-    EXPECT_EQ(w->append_count(), recs.size() + 1);
-    EXPECT_EQ(w->sync_count(), 0u);
-  }
-
-  // A batch's bytes are identical to the same records appended one at a
-  // time — record boundaries inside the batch are preserved.
-  EXPECT_EQ(ReadAll(dir.File("never.log")), [&] {
-    const std::string path = dir.File("singles.log");
-    auto w = storage::WalWriter::Open(path, storage::WalSyncPolicy::kNever);
-    EXPECT_TRUE(w.ok());
-    EXPECT_TRUE(w->Append(recs[0]).ok());
-    for (const auto& r : recs) EXPECT_TRUE(w->Append(r).ok());
-    return ReadAll(path);
-  }());
+  EXPECT_EQ(ReadAll(path), ReadAll(singles));
 }
 
 // A torn tail *inside* an AppendBatch truncates to the last whole
@@ -290,7 +261,7 @@ TEST(Wal, TornBatchTailTruncatesToLastWholeRecord) {
   const std::string path = dir.File("wal.log");
   const auto recs = SampleRecords();
   {
-    auto w = storage::WalWriter::Open(path, storage::WalSyncPolicy::kNever);
+    auto w = storage::WalWriter::Open(path);
     ASSERT_TRUE(w.ok());
     ASSERT_TRUE(w->AppendBatch(recs).ok());
   }
@@ -313,7 +284,7 @@ TEST(Wal, TornBatchTailTruncatesToLastWholeRecord) {
 
   // A recovering writer resumes at the boundary and a fresh batch lands
   // cleanly after the surviving prefix.
-  auto w = storage::WalWriter::Open(path, storage::WalSyncPolicy::kGroupCommit,
+  auto w = storage::WalWriter::Open(path,
                                     static_cast<int64_t>(contents->valid_bytes));
   ASSERT_TRUE(w.ok()) << w.status().ToString();
   ASSERT_TRUE(w->AppendBatch(recs).ok());
@@ -566,29 +537,45 @@ TEST(Recovery, SkipsRecordsCoveredByTheBundle) {
 
   AccessControlEngine engine(g, store);
   ASSERT_TRUE(engine.RebuildIndexes().ok());
-  DurabilityOptions no_truncate;
-  no_truncate.truncate_wal_on_save = false;  // simulate dying pre-truncate
-  ASSERT_TRUE(engine.EnableDurability(dir.path(), no_truncate).ok());
+  ASSERT_TRUE(engine.EnableDurability(dir.path()).ok());
 
   ASSERT_TRUE(engine.AddEdge(0, 3, "friend").ok());
   ASSERT_TRUE(engine.RemoveEdge(0, 3, "friend").ok());
   ASSERT_TRUE(engine.RemoveEdge(4, 3, "colleague").ok());
+  // The records the next bundle covers, read before the save truncates
+  // them away.
+  const std::string wal_path = dir.File(storage::kWalFileName);
+  auto covered = storage::ReadWal(wal_path);
+  ASSERT_TRUE(covered.ok()) << covered.status().ToString();
   ASSERT_TRUE(engine.SaveSnapshot().ok());
-  // Crash window "closed over": records above are covered but still on
-  // disk. Stamp a couple of uncovered ones after.
+  // Stamp a couple of uncovered records after the save.
   ASSERT_TRUE(engine.AddEdge(4, 3, "colleague").ok());
   ASSERT_TRUE(engine.AddEdge(1, 3, "colleague").ok());
-  EXPECT_GT(engine.wal_size_bytes(), storage::kWalFileHeaderBytes);
+  auto current = storage::ReadWal(wal_path);
+  ASSERT_TRUE(current.ok()) << current.status().ToString();
+
+  // Recreate the on-disk state of a crash between the bundle rename and
+  // the WAL truncate: the new bundle beside a WAL that still holds the
+  // covered records, followed by the uncovered ones.
+  TempDir crashed;
+  WriteAll(crashed.File(storage::kSnapshotFileName),
+           ReadAll(dir.File(storage::kSnapshotFileName)));
+  {
+    auto w = storage::WalWriter::Open(crashed.File(storage::kWalFileName));
+    ASSERT_TRUE(w.ok()) << w.status().ToString();
+    ASSERT_TRUE(w->AppendBatch(covered->records).ok());
+    ASSERT_TRUE(w->AppendBatch(current->records).ok());
+  }
 
   SocialGraph g2;
-  auto reopened = AccessControlEngine::OpenFromDir(dir.path(), &g2, store);
+  auto reopened = AccessControlEngine::OpenFromDir(crashed.path(), &g2, store);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   ExpectDecisionEquivalence(engine, **reopened, g.NumNodes(),
                             store.NumResources());
 
-  // Sanity on the oracle itself: the WAL really does hold both covered
-  // and uncovered records.
-  auto wal = storage::ReadWal(dir.File(storage::kWalFileName));
+  // Sanity on the oracle itself: the spliced WAL really does hold both
+  // covered and uncovered records.
+  auto wal = storage::ReadWal(crashed.File(storage::kWalFileName));
   ASSERT_TRUE(wal.ok());
   EXPECT_EQ(wal->records.size(), 5u);
 }
@@ -596,7 +583,8 @@ TEST(Recovery, SkipsRecordsCoveredByTheBundle) {
 // SIGKILL the WAL-appending process mid-stream, reopen, and verify the
 // recovered engine agrees with a mirror engine driven by what an
 // independent WAL read says survived. Every record the child saw
-// acknowledged (kEveryRecord sync) must be present.
+// acknowledged (each is appended as its own synced one-record batch)
+// must be present.
 TEST(Recovery, KillAndReopenReplaysAckedRecords) {
   TempDir dir;
   SocialGraph g = MakeDiamond();
@@ -621,8 +609,7 @@ TEST(Recovery, KillAndReopenReplaysAckedRecords) {
     // parent SIGKILLs us mid-stream; no cleanup must be needed for the
     // log to stay recoverable.
     close(pipefd[0]);
-    auto w = storage::WalWriter::Open(dir.File(storage::kWalFileName),
-                                      storage::WalSyncPolicy::kEveryRecord);
+    auto w = storage::WalWriter::Open(dir.File(storage::kWalFileName));
     if (!w.ok()) _exit(1);
     for (uint32_t i = 0;; ++i) {
       WalRecord rec;
@@ -632,7 +619,7 @@ TEST(Recovery, KillAndReopenReplaysAckedRecords) {
       rec.src = i % 6;
       rec.dst = (i + 2) % 6;
       rec.label = "friend";
-      if (!w->Append(rec).ok()) _exit(2);
+      if (!w->AppendBatch({&rec, 1}).ok()) _exit(2);
       const char ack = 1;
       if (write(pipefd[1], &ack, 1) != 1) _exit(3);
     }
@@ -672,7 +659,7 @@ TEST(Recovery, KillAndReopenReplaysAckedRecords) {
 }
 
 // The group-commit variant of the harness above: the child appends
-// whole batches (AppendBatch under kGroupCommit — one fsync per batch)
+// whole batches (AppendBatch — one fsync per batch)
 // and acks per *batch*. SIGKILL can land mid-batch-write, leaving a
 // torn batch tail; reopen must keep every acked batch intact and
 // truncate the tail to the last whole record. A surviving prefix of the
@@ -699,8 +686,7 @@ TEST(Recovery, KillAndReopenKeepsAckedGroupCommitBatches) {
   ASSERT_GE(child, 0);
   if (child == 0) {
     close(pipefd[0]);
-    auto w = storage::WalWriter::Open(dir.File(storage::kWalFileName),
-                                      storage::WalSyncPolicy::kGroupCommit);
+    auto w = storage::WalWriter::Open(dir.File(storage::kWalFileName));
     if (!w.ok()) _exit(1);
     for (uint32_t b = 0;; ++b) {
       std::vector<WalRecord> batch;
@@ -854,7 +840,7 @@ TEST(Corruption, WalBitFlipMatrix) {
   const std::string path = dir.File("wal.log");
   std::vector<WalRecord> recs;
   {
-    auto w = storage::WalWriter::Open(path, storage::WalSyncPolicy::kNever);
+    auto w = storage::WalWriter::Open(path);
     ASSERT_TRUE(w.ok());
     Rng seed_rng(7);
     for (int i = 0; i < 20; ++i) {
@@ -870,7 +856,7 @@ TEST(Corruption, WalBitFlipMatrix) {
         rec.dst = static_cast<NodeId>(seed_rng.NextBounded(100));
         rec.label = seed_rng.NextBool(0.5) ? "friend" : "colleague";
       }
-      ASSERT_TRUE(w->Append(rec).ok());
+      ASSERT_TRUE(w->AppendBatch({&rec, 1}).ok());
       recs.push_back(rec);
     }
   }
