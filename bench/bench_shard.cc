@@ -4,25 +4,23 @@
 /// owners dominate, the way social traffic does) and reports, next to
 /// the latency series, the router's own counters:
 ///
-///  * summary_hit_rate — fraction of cross-shard checks the boundary
-///    summaries resolved without any frontier exchange. The acceptance
-///    criterion for the subsystem is >= 0.80 on the fresh-summary
-///    series (BM_ShardCheckAccess / BM_ShardCheckBatch).
-///  * fallback_rounds_per_walk — mean frontier-exchange rounds when the
-///    fallback does run (the dirty-shard series BM_ShardDirtyChurn
-///    forces it by mutating without RefreshSummaries()).
 ///  * cross_share — fraction of checks that needed the cross-shard
 ///    machinery at all (the rest were answered owner-locally).
+///  * phase_one_share — fraction of cross-shard checks the owner shard's
+///    phase-one walk settled alone (nothing escaped the shard), so no
+///    frontier exchange ran.
+///  * fallback_rounds_per_check / fallback_rounds_per_walk — mean
+///    frontier-exchange rounds per check, and per exchange that ran.
 ///
-/// BM_ShardSummaryRefresh prices the summaries themselves: the full
-/// per-shard product-SCC + restricted 2-hop rebuild.
+/// BM_ShardCheckAccess / BM_ShardCheckBatch price reads on a static
+/// graph; BM_ShardDirtyChurn interleaves router writes with the reads.
 ///
-/// Robustness series (PR 7): BM_ShardDirectCall / BM_ShardTransportCall
-/// price the fault-free transport seam (the acceptance bar is the
-/// transport staying within ~5% of direct engine calls), and
-/// BM_ShardFaultInjection runs the full retry / breaker / degraded
-/// machinery under a seeded fault storm, reporting the robustness
-/// counters next to the latency.
+/// Robustness series: BM_ShardDirectCall / BM_ShardTransportCall price
+/// the fault-free transport seam (the acceptance bar is the transport
+/// staying within ~5% of direct engine calls), and
+/// BM_ShardFaultInjection runs the full retry / breaker machinery under
+/// a seeded fault storm, reporting the robustness counters next to the
+/// latency.
 
 #include <benchmark/benchmark.h>
 
@@ -53,8 +51,7 @@ struct ShardedFixture {
 };
 
 std::unique_ptr<ShardedFixture> MakeFixture(
-    uint32_t shards, bool build_summaries,
-    FaultInjectionTransport** fault = nullptr) {
+    uint32_t shards, FaultInjectionTransport** fault = nullptr) {
   auto f = std::make_unique<ShardedFixture>();
   f->graph = std::make_unique<SocialGraph>(
       MakeGraph(GraphKind::kBarabasiAlbert, kNodes, 3, /*seed=*/17));
@@ -79,9 +76,8 @@ std::unique_ptr<ShardedFixture> MakeFixture(
   opts.partition.num_shards = shards;
   // Contiguous ranges ignore community structure on purpose: they cut
   // straight through the BA core, which is what makes the cross-shard
-  // machinery (summaries, fallback) actually carry traffic here.
+  // machinery actually carry traffic here.
   opts.partition.strategy = PartitionStrategy::kContiguous;
-  opts.build_summaries = build_summaries;
   if (fault != nullptr) {
     opts.transport_decorator =
         [fault](std::unique_ptr<ShardTransport> inner)
@@ -102,15 +98,16 @@ void ReportCounters(benchmark::State& state, const RouterCounters& before,
   const double cross =
       static_cast<double>(after.cross_shard_checks - before.cross_shard_checks);
   const double checks = static_cast<double>(after.checks - before.checks);
-  const double fallback_checks = static_cast<double>(
-      after.cross_fallback_walks - before.cross_fallback_walks);
+  const double phase_one = static_cast<double>(after.phase_one_resolved -
+                                               before.phase_one_resolved);
   const double walks =
       static_cast<double>(after.fallback_walks - before.fallback_walks);
   const double rounds =
       static_cast<double>(after.fallback_rounds - before.fallback_rounds);
   state.counters["cross_share"] = checks > 0 ? cross / checks : 0.0;
-  state.counters["summary_hit_rate"] =
-      cross > 0 ? 1.0 - fallback_checks / cross : 1.0;
+  state.counters["phase_one_share"] = cross > 0 ? phase_one / cross : 0.0;
+  state.counters["fallback_rounds_per_check"] =
+      checks > 0 ? rounds / checks : 0.0;
   state.counters["fallback_rounds_per_walk"] = walks > 0 ? rounds / walks : 0.0;
   // Robustness counters (all zero on a fault-free transport).
   state.counters["retries"] =
@@ -119,15 +116,13 @@ void ReportCounters(benchmark::State& state, const RouterCounters& before,
       static_cast<double>(after.timeouts - before.timeouts);
   state.counters["breaker_opens"] =
       static_cast<double>(after.breaker_opens - before.breaker_opens);
-  state.counters["degraded_answers"] =
-      static_cast<double>(after.degraded_answers - before.degraded_answers);
   state.counters["unavailable_errors"] =
       static_cast<double>(after.unavailable_errors - before.unavailable_errors);
 }
 
 void BM_ShardCheckAccess(benchmark::State& state) {
   const auto shards = static_cast<uint32_t>(state.range(0));
-  auto f = MakeFixture(shards, /*build_summaries=*/true);
+  auto f = MakeFixture(shards);
   if (f == nullptr) {
     state.SkipWithError("fixture build failed");
     return;
@@ -150,7 +145,7 @@ BENCHMARK(BM_ShardCheckAccess)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 void BM_ShardCheckBatch(benchmark::State& state) {
   const auto shards = static_cast<uint32_t>(state.range(0));
   constexpr size_t kBatch = 64;
-  auto f = MakeFixture(shards, /*build_summaries=*/true);
+  auto f = MakeFixture(shards);
   if (f == nullptr) {
     state.SkipWithError("fixture build failed");
     return;
@@ -172,12 +167,12 @@ void BM_ShardCheckBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardCheckBatch)->Arg(1)->Arg(4)->Arg(8);
 
-/// Dirty-shard series: a mutation every k checks, never refreshing the
-/// summaries — every cross-shard check after the first mutation takes
-/// the frontier-exchange fallback. Prices the conservatism.
+/// Churn series: a router write every k checks (a random friend edge,
+/// intra-shard or cut), so reads run against shards whose overlays keep
+/// growing and a topology that keeps republishing.
 void BM_ShardDirtyChurn(benchmark::State& state) {
   const auto checks_per_mutation = static_cast<size_t>(state.range(0));
-  auto f = MakeFixture(4, /*build_summaries=*/true);
+  auto f = MakeFixture(4);
   if (f == nullptr) {
     state.SkipWithError("fixture build failed");
     return;
@@ -205,24 +200,6 @@ void BM_ShardDirtyChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardDirtyChurn)->Arg(16)->Arg(256);
 
-/// Full summary rebuild across all shards (product SCC + condensation +
-/// restricted 2-hop per rule path per shard).
-void BM_ShardSummaryRefresh(benchmark::State& state) {
-  const auto shards = static_cast<uint32_t>(state.range(0));
-  auto f = MakeFixture(shards, /*build_summaries=*/true);
-  if (f == nullptr) {
-    state.SkipWithError("fixture build failed");
-    return;
-  }
-  for (auto _ : state) {
-    if (!f->router->RefreshSummaries().ok()) {
-      state.SkipWithError("refresh failed");
-      return;
-    }
-  }
-}
-BENCHMARK(BM_ShardSummaryRefresh)->Arg(2)->Arg(8);
-
 /// Fault-free transport overhead pair. Both series drive the same
 /// single-shard engine with the same Zipf request stream; the only
 /// difference is whether the call goes straight into ShardEngine::Check
@@ -230,7 +207,7 @@ BENCHMARK(BM_ShardSummaryRefresh)->Arg(2)->Arg(8);
 /// bookkeeping, no framing). Acceptance bar for the seam:
 /// BM_ShardTransportCall stays within ~5% of BM_ShardDirectCall.
 void BM_ShardDirectCall(benchmark::State& state) {
-  auto f = MakeFixture(1, /*build_summaries=*/true);
+  auto f = MakeFixture(1);
   if (f == nullptr) {
     state.SkipWithError("fixture build failed");
     return;
@@ -249,7 +226,7 @@ void BM_ShardDirectCall(benchmark::State& state) {
 BENCHMARK(BM_ShardDirectCall);
 
 void BM_ShardTransportCall(benchmark::State& state) {
-  auto f = MakeFixture(1, /*build_summaries=*/true);
+  auto f = MakeFixture(1);
   if (f == nullptr) {
     state.SkipWithError("fixture build failed");
     return;
@@ -271,15 +248,15 @@ BENCHMARK(BM_ShardTransportCall);
 
 /// The robust path under a seeded probabilistic fault storm: every
 /// shard's transport randomly delays, drops, errors, or corrupts.
-/// Latency here includes retries, backoff, and degraded composition
-/// (all sleeps and delays land on the decorator's virtual clock, so
-/// wall time measures real work, not waiting). The robustness counters
+/// Latency here includes retries and backoff (all sleeps and delays
+/// land on the decorator's virtual clock, so wall time measures real
+/// work, not waiting). The robustness counters
 /// from ReportCounters show what the storm cost; refused_share is the
 /// fraction of checks that ended in an explicit transport error rather
 /// than an exact answer.
 void BM_ShardFaultInjection(benchmark::State& state) {
   FaultInjectionTransport* fault = nullptr;
-  auto f = MakeFixture(4, /*build_summaries=*/true, &fault);
+  auto f = MakeFixture(4, &fault);
   if (f == nullptr || fault == nullptr) {
     state.SkipWithError("fixture build failed");
     return;
@@ -313,7 +290,7 @@ void BM_ShardFaultInjection(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardFaultInjection);
 
-/// Scatter-gather fan-out series (PR 8): the same grant-heavy batch
+/// Scatter-gather fan-out series: the same grant-heavy batch
 /// through a serial-transport router and a thread-per-shard
 /// (ThreadedTransport) router, at each shard count. The workload is
 /// deliberately settled entirely by the per-shard sub-batches — every
@@ -323,10 +300,8 @@ BENCHMARK(BM_ShardFaultInjection);
 ///
 /// The measured series (manual time) is the THREADED batch;
 /// speedup_threaded_vs_serial is the serial/threaded wall ratio from
-/// the same iterations. Acceptance: >= 2x at 4 shards on a multi-core
-/// runner (the ratio degrades toward ~1x on a single hardware thread,
-/// where concurrency cannot buy wall time — the CI runners are where
-/// this counter is judged).
+/// the same iterations (it tends toward ~1x on a single hardware
+/// thread, where concurrency cannot buy wall time).
 constexpr size_t kFanBatch = 1024;
 
 struct FanOutFixture {

@@ -30,17 +30,6 @@ bool IsTransportError(const Status& s) {
          s.code() == StatusCode::kDeadlineExceeded;
 }
 
-/// Inserts `node` into a sorted-unique vector.
-void SortedInsert(std::vector<NodeId>& v, NodeId node) {
-  const auto it = std::lower_bound(v.begin(), v.end(), node);
-  if (it == v.end() || *it != node) v.insert(it, node);
-}
-
-void SortedErase(std::vector<NodeId>& v, NodeId node) {
-  const auto it = std::lower_bound(v.begin(), v.end(), node);
-  if (it != v.end() && *it == node) v.erase(it);
-}
-
 bool HasCutArc(const ShardTopology& topo, NodeId src, NodeId dst,
                LabelId label) {
   for (const CutArc& a : topo.CutOut(src)) {
@@ -61,10 +50,6 @@ void EraseCutArc(std::unordered_map<NodeId, std::vector<CutArc>>& map,
     }
   }
   if (arcs.empty()) map.erase(it);
-}
-
-bool TouchesCut(const ShardTopology& topo, NodeId node) {
-  return !topo.CutOut(node).empty() || !topo.CutIn(node).empty();
 }
 
 }  // namespace
@@ -148,14 +133,8 @@ Status ShardRouter::Build() {
   auto topo = std::make_shared<ShardTopology>();
   topo->num_shards = partition_.num_shards;
   topo->shard_of = partition_.shard_of;
-  topo->boundary.resize(partition_.num_shards);
   for (const Edge& e : partition_.cut_edges) {
     topo->cut_out[e.src].push_back({e.dst, e.label});
-    topo->cut_in[e.dst].push_back({e.src, e.label});
-  }
-  for (const Edge& e : partition_.cut_edges) {
-    SortedInsert(topo->boundary[topo->shard_of[e.src]], e.src);
-    SortedInsert(topo->boundary[topo->shard_of[e.dst]], e.dst);
   }
   topo->epoch = 1;
   PublishTopology(std::move(topo));
@@ -166,9 +145,6 @@ Status ShardRouter::Build() {
   }
 
   built_ = true;
-  if (options_.build_summaries && shards_.size() > 1) {
-    return RefreshSummaries();
-  }
   return OkStatus();
 }
 
@@ -200,16 +176,13 @@ RouterCounters ShardRouter::counters() const {
   c.checks = counters_.checks.load(kRelaxed);
   c.cross_shard_checks = counters_.cross_shard_checks.load(kRelaxed);
   c.local_conclusive = counters_.local_conclusive.load(kRelaxed);
-  c.summary_resolved = counters_.summary_resolved.load(kRelaxed);
+  c.phase_one_resolved = counters_.phase_one_resolved.load(kRelaxed);
   c.fallback_walks = counters_.fallback_walks.load(kRelaxed);
   c.cross_fallback_walks = counters_.cross_fallback_walks.load(kRelaxed);
   c.fallback_rounds = counters_.fallback_rounds.load(kRelaxed);
-  c.stale_summary_fallbacks = counters_.stale_summary_fallbacks.load(kRelaxed);
-  c.capped_compositions = counters_.capped_compositions.load(kRelaxed);
   c.retries = counters_.retries.load(kRelaxed);
   c.timeouts = counters_.timeouts.load(kRelaxed);
   c.breaker_opens = health_ == nullptr ? 0 : health_->opens();
-  c.degraded_answers = counters_.degraded_answers.load(kRelaxed);
   c.unavailable_errors = counters_.unavailable_errors.load(kRelaxed);
   return c;
 }
@@ -357,12 +330,8 @@ Result<AccessDecision> ShardRouter::CheckAccess(
 Result<AccessDecision> ShardRouter::DecideMulti(
     const AccessRequest& request) const {
   Result<AccessDecision> d = DecideMultiImpl(request);
-  if (!d.ok()) {
-    if (IsTransportError(d.status())) {
-      counters_.unavailable_errors.fetch_add(1, kRelaxed);
-    }
-  } else if (!d->degraded_reason.empty()) {
-    counters_.degraded_answers.fetch_add(1, kRelaxed);
+  if (!d.ok() && IsTransportError(d.status())) {
+    counters_.unavailable_errors.fetch_add(1, kRelaxed);
   }
   return d;
 }
@@ -404,16 +373,10 @@ Result<AccessDecision> ShardRouter::DecideMultiImpl(
       owner_shard, check_salt, [&](const TransportCallOptions& opts) {
         return transport_->Check(owner_shard, ToWire(request), opts);
       });
-  if (!local_r.ok()) {
-    // The owner's shard is unreachable (retries and breaker already
-    // consulted). Degrade when allowed: conclude exactly from fresh
-    // boundary summaries, or fail explicitly — never guess.
-    if (options_.robustness.allow_degraded && shards_.size() > 1 &&
-        IsTransportError(local_r.status())) {
-      return DecideDegraded(*topo, request, res.owner, local_r.status());
-    }
-    return local_r.status();
-  }
+  // An unreachable owner shard (retries and breaker already consulted)
+  // is an explicit error: every path starts there, so nothing else can
+  // conclude the check exactly.
+  if (!local_r.ok()) return local_r.status();
   const wire::CheckReply& local = *local_r;
   if (local.status_code == 0 && local.granted != 0) {
     counters_.local_conclusive.fetch_add(1, kRelaxed);
@@ -430,7 +393,7 @@ Result<AccessDecision> ShardRouter::DecideMultiImpl(
     return wire::UnpackStatus(local.status_code, local.error);
   }
 
-  // Steps 2-3: per rule path, exact global reachability. Disjunction
+  // Step 2: per rule path, exact global reachability. Disjunction
   // semantics mirror the engine: first error is remembered and surfaced
   // only when nothing grants.
   counters_.cross_shard_checks.fetch_add(1, kRelaxed);
@@ -458,7 +421,7 @@ Result<AccessDecision> ShardRouter::DecideMultiImpl(
   if (cross.used_fallback) {
     counters_.cross_fallback_walks.fetch_add(1, kRelaxed);
   } else {
-    counters_.summary_resolved.fetch_add(1, kRelaxed);
+    counters_.phase_one_resolved.fetch_add(1, kRelaxed);
   }
   if (!matched.has_value() && first_error.has_value()) return *first_error;
 
@@ -468,95 +431,9 @@ Result<AccessDecision> ShardRouter::DecideMultiImpl(
   d.resource = request.resource;
   d.matched_rule = matched;
   d.stats.pairs_visited = cross.pairs_visited;
-  d.evaluator_name = cross.used_fallback  ? "shard-frontier"
-                     : cross.used_summary ? "shard-summary"
-                                          : "shard-local";
+  d.evaluator_name = cross.used_fallback ? "shard-frontier" : "shard-local";
   d.snapshot_generation = stamp.snapshot_generation;
   d.overlay_version = stamp.overlay_version;
-  return d;
-}
-
-Result<AccessDecision> ShardRouter::DecideDegraded(
-    const ShardTopology& topo, const AccessRequest& request, NodeId owner,
-    const Status& owner_error) const {
-  const auto unavailable = [&](const std::string& why) {
-    return Status::Unavailable("ShardRouter: owner shard unreachable (" +
-                               owner_error.ToString() + ") and " + why);
-  };
-  if (!options_.build_summaries) {
-    return unavailable("boundary summaries are disabled");
-  }
-  counters_.cross_shard_checks.fetch_add(1, kRelaxed);
-  const RouterResource& res = resources_[request.resource];
-  CrossStats cross;
-  std::optional<Status> first_error;
-  std::optional<RuleId> matched;
-  for (const RuleId rule : res.rules) {
-    for (uint32_t p = 0; p < paths_[rule].size() && !matched; ++p) {
-      const RouterPath& rp = paths_[rule][p];
-      if (!rp.bind_status.ok()) {
-        if (!first_error.has_value()) first_error = rp.bind_status;
-        continue;
-      }
-      // Seed the composition at the owner's automaton start closure.
-      // The owner is a boundary vertex of the down shard whenever that
-      // shard participates in cross-shard paths for it; its FRESH
-      // summary (stamps cannot move while the shard is unreachable —
-      // mutations fail stop) then carries the walk across the down
-      // shard without one data-plane call into it. Any obstruction
-      // (non-boundary owner, stale summary, work cap) aborts to an
-      // explicit error: degraded mode has no fallback walk to hide in.
-      const HopAutomaton& nfa = rp.bound->automaton();
-      const std::vector<uint32_t> residual = wire::ResidualHopBudgets(nfa);
-      std::vector<wire::FrontierEntry> seeds;
-      seeds.reserve(nfa.StartStates().size());
-      for (uint32_t s0 : nfa.StartStates()) {
-        seeds.push_back({owner, s0, residual[s0]});
-      }
-      Result<ComposeOutcome> out = ComposeSummaries(
-          topo, rule, p, owner, request.requester, seeds, cross);
-      if (!out.ok()) {
-        if (!first_error.has_value()) first_error = out.status();
-        continue;
-      }
-      switch (*out) {
-        case ComposeOutcome::kGranted:
-          matched = rule;
-          break;
-        case ComposeOutcome::kDenied:
-          break;
-        case ComposeOutcome::kStale:
-          if (!first_error.has_value()) {
-            first_error = unavailable(
-                "a needed boundary summary is stale, unbuilt, or does not "
-                "cover the owner");
-          }
-          break;
-        case ComposeOutcome::kCapped:
-          if (!first_error.has_value()) {
-            first_error = unavailable("summary composition hit its work cap");
-          }
-          break;
-      }
-    }
-    if (matched.has_value()) break;
-  }
-  // A deny is exact only if EVERY rule path concluded; a grant is exact
-  // on its own (summaries never over-approximate).
-  if (!matched.has_value() && first_error.has_value()) return *first_error;
-
-  const wire::Stamp stamp = Stamp();
-  AccessDecision d;
-  d.granted = matched.has_value();
-  d.requester = request.requester;
-  d.resource = request.resource;
-  d.matched_rule = matched;
-  d.stats.pairs_visited = cross.pairs_visited;
-  d.evaluator_name = "shard-degraded";
-  d.snapshot_generation = stamp.snapshot_generation;
-  d.overlay_version = stamp.overlay_version;
-  d.degraded_reason = "owner shard unreachable (" + owner_error.ToString() +
-                      "); concluded exactly from fresh boundary summaries";
   return d;
 }
 
@@ -585,151 +462,9 @@ Result<bool> ShardRouter::PathReaches(const ShardTopology& topo, RuleId rule,
   }
   stats.pairs_visited += r1.pairs_visited;
   if (r1.accepted != 0) return true;
-  // Nothing escaped the shard: the deny is global, no summary needed.
+  // Nothing escaped the shard: the deny is global.
   if (r1.exports.empty()) return false;
-
-  if (!options_.build_summaries) {
-    return FallbackWalk(topo, rule, path, owner, requester, r1.exports, stats);
-  }
-
-  SARGUS_ASSIGN_OR_RETURN(
-      const ComposeOutcome out,
-      ComposeSummaries(topo, rule, path, owner, requester, r1.exports, stats));
-  switch (out) {
-    case ComposeOutcome::kGranted:
-      return true;
-    case ComposeOutcome::kDenied:
-      return false;
-    case ComposeOutcome::kStale:
-      counters_.stale_summary_fallbacks.fetch_add(1, kRelaxed);
-      return FallbackWalk(topo, rule, path, owner, requester, r1.exports,
-                          stats);
-    case ComposeOutcome::kCapped:
-      counters_.capped_compositions.fetch_add(1, kRelaxed);
-      return FallbackWalk(topo, rule, path, owner, requester, r1.exports,
-                          stats);
-  }
-  return Status::Internal("ShardRouter: unreachable compose outcome");
-}
-
-Result<ShardRouter::ComposeOutcome> ShardRouter::ComposeSummaries(
-    const ShardTopology& topo, RuleId rule, uint32_t path, NodeId owner,
-    NodeId requester, std::span<const wire::FrontierEntry> seeds,
-    CrossStats& stats) const {
-  // Step 2: router-local summary composition. A worklist of boundary
-  // configurations; each is pushed through its shard's summary (exact
-  // boundary-to-boundary product reachability), then expanded across
-  // cut edges, until acceptance, a fixpoint, or a reason to bail
-  // (kStale / kCapped — the caller decides between frontier-exchange
-  // fallback and an explicit degraded-mode error).
-  const RouterPath& rp = paths_[rule][path];
-  const HopAutomaton& nfa = rp.bound->automaton();
-  const uint32_t num_states = nfa.NumStates();
-  const std::vector<uint32_t> residual = wire::ResidualHopBudgets(nfa);
-  const uint32_t req_shard = topo.shard_of[requester];
-
-  std::unordered_set<uint64_t> processed;
-  std::vector<wire::FrontierEntry> queue;
-  std::vector<wire::FrontierEntry> final_seeds;
-  auto enqueue = [&](const wire::FrontierEntry& e) {
-    if (!processed.insert(ConfigKey(e)).second) return;
-    queue.push_back(e);
-    // Entry configurations in the requester's shard also seed the final
-    // local walk (interior acceptance is invisible to summaries, which
-    // only speak boundary-to-boundary).
-    if (topo.shard_of[e.node] == req_shard) final_seeds.push_back(e);
-  };
-  for (const wire::FrontierEntry& e : seeds) enqueue(e);
-
-  // Summaries pinned and freshness-checked once per shard per call.
-  std::vector<std::shared_ptr<const BoundarySummary>> pinned(shards_.size());
-  std::vector<uint8_t> pin_checked(shards_.size(), 0);
-  auto summary_for = [&](uint32_t s) -> const BoundarySummary* {
-    if (pin_checked[s] == 0) {
-      pin_checked[s] = 1;
-      auto sum = shards_[s]->summary();
-      if (sum != nullptr && sum->stamp() == shards_[s]->ViewStamp() &&
-          sum->PathBuilt(rule, path)) {
-        pinned[s] = std::move(sum);
-      }
-    }
-    return pinned[s].get();
-  };
-
-  size_t tests = 0;
-  while (!queue.empty()) {
-    const wire::FrontierEntry entry = queue.back();
-    queue.pop_back();
-    const uint32_t c = topo.shard_of[entry.node];
-    const BoundarySummary* sum = summary_for(c);
-    const int64_t from_idx =
-        sum == nullptr ? -1 : sum->BoundaryIndexOf(entry.node);
-    if (from_idx < 0) return ComposeOutcome::kStale;
-    for (size_t j = 0; j < sum->num_boundary(); ++j) {
-      for (uint32_t t2 = 0; t2 < num_states; ++t2) {
-        if (++tests > options_.max_composition_tests) {
-          return ComposeOutcome::kCapped;
-        }
-        if (!sum->Reaches(rule, path, static_cast<size_t>(from_idx),
-                          entry.state, j, t2)) {
-          continue;
-        }
-        // The walk can sit at boundary vertex bv in state t2; expand the
-        // crossing over every matching cut edge, checking the far node
-        // against the step filter and the accept-after-edge test exactly
-        // as a live walker would.
-        const NodeId bv = sum->boundary_nodes()[j];
-        const BoundStep& step = nfa.StepSpec(t2);
-        const bool accepts = nfa.AcceptsAfterEdge(t2);
-        const std::vector<uint32_t>& targets = nfa.TargetsAfterEdge(t2);
-        const std::span<const CutArc> arcs =
-            step.backward ? topo.CutIn(bv) : topo.CutOut(bv);
-        for (const CutArc& arc : arcs) {
-          if (arc.label != step.label) continue;
-          if (!BoundPathExpression::NodePasses(*master_graph_, arc.other,
-                                               step)) {
-            continue;
-          }
-          if (accepts && arc.other == requester) {
-            stats.used_summary = true;
-            return ComposeOutcome::kGranted;
-          }
-          for (uint32_t t3 : targets) {
-            enqueue({arc.other, t3, residual[t3]});
-          }
-        }
-      }
-    }
-  }
-  stats.used_summary = true;
-  if (final_seeds.empty()) return ComposeOutcome::kDenied;
-
-  // Final local walk in the requester's shard (summaries only speak
-  // boundary-to-boundary; interior acceptance needs a live walk). In
-  // degraded mode, if the requester sits INSIDE the unreachable shard
-  // this call fails and the whole decision surfaces kUnavailable —
-  // exactly right, because no fresh summary can see that acceptance.
-  wire::WalkRequest fin;
-  fin.rule = rule;
-  fin.path = path;
-  fin.requester = requester;
-  fin.seed = wire::WalkSeed::kFrontier;
-  fin.owner = owner;
-  fin.frontier = std::move(final_seeds);
-  const uint64_t fin_salt = 0xF1A7ULL ^ (uint64_t{rule} << 48) ^
-                            (uint64_t{path} << 40) ^ (uint64_t{owner} << 20) ^
-                            requester;
-  const Result<wire::WalkReply> rfr = CallShard<wire::WalkReply>(
-      req_shard, fin_salt, [&](const TransportCallOptions& opts) {
-        return transport_->ExpandFrontier(req_shard, fin, opts);
-      });
-  if (!rfr.ok()) return rfr.status();
-  const wire::WalkReply& rf = *rfr;
-  if (rf.status_code != 0) {
-    return wire::UnpackStatus(rf.status_code, rf.error);
-  }
-  stats.pairs_visited += rf.pairs_visited;
-  return rf.accepted != 0 ? ComposeOutcome::kGranted : ComposeOutcome::kDenied;
+  return FallbackWalk(topo, rule, path, owner, requester, r1.exports, stats);
 }
 
 Result<bool> ShardRouter::FallbackWalk(
@@ -898,8 +633,8 @@ std::vector<Result<AccessDecision>> ShardRouter::CheckAccessBatch(
               return transport_->CheckBatch(s, gc.batch, opts);
             });
     // A transport failure (or short reply) escalates every slot of the
-    // group to the per-request procedure, which carries its own retry /
-    // degraded handling.
+    // group to the per-request procedure, which carries its own retry
+    // handling.
     if (!replies_r.ok()) continue;
     const wire::BatchCheckReply& replies = *replies_r;
     if (replies.replies.size() != groups[s].size()) continue;  // escalate all
@@ -1007,9 +742,6 @@ Status ShardRouter::AddEdgeImpl(NodeId src, NodeId dst, LabelId label) {
   if (s1 != s2 && !HasCutArc(*topo, src, dst, label)) {
     auto next = std::make_shared<ShardTopology>(*topo);
     next->cut_out[src].push_back({dst, label});
-    next->cut_in[dst].push_back({src, label});
-    SortedInsert(next->boundary[s1], src);
-    SortedInsert(next->boundary[s2], dst);
     ++next->epoch;
     PublishTopology(std::move(next));
   }
@@ -1084,9 +816,6 @@ Status ShardRouter::RemoveEdgeImpl(NodeId src, NodeId dst, LabelId label) {
   if (s1 != s2 && HasCutArc(*topo, src, dst, label)) {
     auto next = std::make_shared<ShardTopology>(*topo);
     EraseCutArc(next->cut_out, src, dst, label);
-    EraseCutArc(next->cut_in, dst, src, label);
-    if (!TouchesCut(*next, src)) SortedErase(next->boundary[s1], src);
-    if (!TouchesCut(*next, dst)) SortedErase(next->boundary[s2], dst);
     ++next->epoch;
     PublishTopology(std::move(next));
   }
@@ -1155,15 +884,6 @@ Result<NodeId> ShardRouter::AddNode() {
   return expected;
 }
 
-Status ShardRouter::RefreshSummaries() {
-  if (!options_.build_summaries || shards_.size() <= 1) return OkStatus();
-  const auto topo = topology();
-  for (auto& shard : shards_) {
-    SARGUS_RETURN_IF_ERROR(shard->RefreshSummary(*topo, options_.summary));
-  }
-  return OkStatus();
-}
-
 Status ShardRouter::CompactAll() {
   if (!built_) {
     return Status::FailedPrecondition("ShardRouter: Build() not called");
@@ -1172,7 +892,7 @@ Status ShardRouter::CompactAll() {
     SARGUS_RETURN_IF_ERROR(shard->engine().Compact());
     shard->engine().WaitForCompaction();
   }
-  return RefreshSummaries();
+  return OkStatus();
 }
 
 }  // namespace sargus

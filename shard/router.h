@@ -19,15 +19,10 @@
 ///      is authoritative (shard-local edges are a subset of global
 ///      edges); a deny is authoritative only if the phase-one walk's
 ///      export set is empty (no configuration escaped the shard).
-///   2. *Summary composition*: compose the shards' boundary summaries
-///      (shard/boundary_summary.h) with the cut-edge table into a
-///      router-local fixpoint over boundary configurations — no shard
-///      traffic at all. Exact when every consulted summary is fresh;
-///      any stale summary aborts to step 3.
-///   3. *Frontier exchange fallback*: two-phase rounds shipping
-///      (node, state, residual-hops) frontiers to the owning shards
-///      until acceptance or a global fixpoint. Always available, always
-///      exact; the summaries only exist to avoid it.
+///   2. *Frontier exchange*: two-phase rounds shipping (node, state,
+///      residual-hops) frontiers to the owning shards until acceptance
+///      or a global fixpoint. Exact, and it reads the shards' current
+///      views, so every write is visible to the very next check.
 ///
 /// Mutations route to the owning shard — both owners for a cut edge —
 /// preserving each engine's single-writer contract, and republish a
@@ -40,19 +35,17 @@
 /// forwards (decisions carry the engine's own stamps, byte-identical to
 /// going through the engine directly).
 ///
-/// Robustness (PR 7): every data-plane shard call goes through a
+/// Robustness: every data-plane shard call goes through a
 /// ShardTransport (shard/transport.h) under a retry / deadline /
 /// circuit-breaker policy (RouterRobustnessOptions). When an owner
-/// shard is unreachable, checks concludable exactly from fresh boundary
-/// summaries are still answered (stamped with degraded_reason);
-/// everything else fails with an explicit kUnavailable or
-/// kDeadlineExceeded — a completed decision is always exact, a
-/// non-answer is always an error, and a silently wrong grant or deny is
-/// never returned. Control-plane operations (Build, AddNode,
-/// RefreshSummaries, CompactAll, stamp and summary reads) stay direct
-/// in-process calls: they model cluster management, which a real
-/// deployment runs over a reliable coordination channel, not the
-/// request path.
+/// shard is unreachable, every non-owner check fails with an explicit
+/// kUnavailable or kDeadlineExceeded — a completed decision is always
+/// exact, a non-answer is always an error, and a silently wrong grant
+/// or deny is never returned. Owner access is answered without the
+/// data plane. Control-plane operations (Build, AddNode, CompactAll,
+/// stamp reads) stay direct in-process calls: they model cluster
+/// management, which a real deployment runs over a reliable
+/// coordination channel, not the request path.
 
 #include <atomic>
 #include <cstdint>
@@ -66,7 +59,6 @@
 
 #include "common/result.h"
 #include "engine/access_engine.h"
-#include "shard/boundary_summary.h"
 #include "shard/executor_transport.h"
 #include "shard/partitioner.h"
 #include "shard/shard_engine.h"
@@ -77,8 +69,8 @@
 namespace sargus {
 
 /// Retry / deadline / circuit-breaker policy for the router's data-
-/// plane calls (see docs/ARCHITECTURE.md, "Failure model & degraded
-/// serving"). Every transport call gets a per-attempt deadline; failed
+/// plane calls (see docs/ARCHITECTURE.md, "Failure model & explicit
+/// errors"). Every transport call gets a per-attempt deadline; failed
 /// attempts retry with exponential backoff + deterministic jitter under
 /// a per-operation budget; a shard that keeps failing trips a breaker
 /// and fails fast until a half-open probe succeeds.
@@ -101,12 +93,6 @@ struct RouterRobustnessOptions {
   /// How long an open breaker fails fast before allowing one half-open
   /// probe, ms.
   uint32_t breaker_open_ms = 100;
-  /// When an owner shard is unreachable, answer cross-shard checks that
-  /// are concludable exactly from fresh boundary summaries instead of
-  /// failing them (the decision is stamped with degraded_reason).
-  /// Checks that cannot be concluded exactly still fail with
-  /// kUnavailable — degraded mode never guesses.
-  bool allow_degraded = true;
   /// Seed for the deterministic backoff jitter.
   uint64_t jitter_seed = 0x5eedULL;
 };
@@ -114,16 +100,7 @@ struct RouterRobustnessOptions {
 struct RouterOptions {
   PartitionOptions partition;
   EngineOptions engine;
-  BoundarySummaryOptions summary;
-  /// Build boundary summaries at Build()/RefreshSummaries() and consult
-  /// them before falling back to frontier exchange. Off = every
-  /// cross-shard path goes straight to the fallback (the forced-
-  /// fallback tests and the bench's no-summary series use this).
-  bool build_summaries = true;
-  /// Summary-composition work cap (reachability tests per path); an
-  /// exceeding composition falls back to frontier exchange.
-  size_t max_composition_tests = size_t{1} << 20;
-  /// Retry / breaker / degraded-serving policy.
+  /// Retry / deadline / breaker policy.
   RouterRobustnessOptions robustness;
   /// Put the thread-per-shard executor (shard/executor_transport.h)
   /// behind the transport seam instead of the serial
@@ -149,7 +126,8 @@ struct RouterOptions {
 };
 
 /// Monotonic router-level counters (relaxed atomics; read with
-/// counters()). The bench derives its summary-hit-rate from these.
+/// counters()). The benches derive the cross-shard share and the
+/// fallback rounds per check from these.
 struct RouterCounters {
   uint64_t checks = 0;
   /// Checks that needed the cross-shard machinery (not answered by an
@@ -157,28 +135,21 @@ struct RouterCounters {
   uint64_t cross_shard_checks = 0;
   /// Checks answered by the owner shard's local engine (grant).
   uint64_t local_conclusive = 0;
-  /// Cross-shard checks concluded without any frontier exchange
-  /// (phase-one conclusive or summary composition).
-  uint64_t summary_resolved = 0;
+  /// Cross-shard checks whose phase-one walks exported nothing, so no
+  /// frontier exchange ran.
+  uint64_t phase_one_resolved = 0;
   /// Frontier-exchange walks run (per path evaluation).
   uint64_t fallback_walks = 0;
   /// Cross-shard checks that needed at least one frontier exchange.
   uint64_t cross_fallback_walks = 0;
   /// Total frontier-exchange rounds across all fallback walks.
   uint64_t fallback_rounds = 0;
-  /// Fallbacks caused by a stale/missing/unbuilt summary.
-  uint64_t stale_summary_fallbacks = 0;
-  /// Fallbacks caused by the composition work cap.
-  uint64_t capped_compositions = 0;
   /// Transport-call re-attempts (attempt 2+ of a logical call).
   uint64_t retries = 0;
   /// Transport attempts that ended kDeadlineExceeded.
   uint64_t timeouts = 0;
   /// Circuit-breaker open transitions (closed->open and re-opens).
   uint64_t breaker_opens = 0;
-  /// Checks answered exactly through the degraded (owner-shard-down)
-  /// summary path.
-  uint64_t degraded_answers = 0;
   /// Checks that returned kUnavailable / kDeadlineExceeded.
   uint64_t unavailable_errors = 0;
 };
@@ -192,8 +163,8 @@ class ShardRouter {
   ShardRouter(SocialGraph& graph, const PolicyStore& store,
               RouterOptions options = {});
 
-  /// Partitions, extracts, builds every shard engine, publishes the
-  /// initial topology, and (when configured) builds boundary summaries.
+  /// Partitions, extracts, builds every shard engine, and publishes the
+  /// initial topology.
   Status Build();
 
   uint32_t num_shards() const { return static_cast<uint32_t>(shards_.size()); }
@@ -251,11 +222,11 @@ class ShardRouter {
   /// assign the id concurrently, not serially.
   Result<NodeId> AddNode();
 
-  /// Rebuilds every shard's boundary summary against its current view.
-  /// No-op when summaries are disabled or N == 1.
-  Status RefreshSummaries();
+  /// No-op kept for source compatibility with callers from when the
+  /// router cached boundary summaries; there is nothing to refresh.
+  Status RefreshSummaries() { return OkStatus(); }
 
-  /// Compacts every shard (waiting each out), then refreshes summaries.
+  /// Compacts every shard, waiting each out.
   Status CompactAll();
 
  private:
@@ -270,38 +241,16 @@ class ShardRouter {
   /// Per-evaluation bookkeeping threaded through the cross-shard path.
   struct CrossStats {
     uint64_t pairs_visited = 0;
-    bool used_summary = false;
     bool used_fallback = false;
-  };
-
-  /// How a summary-composition run ended (shared by the healthy and
-  /// degraded paths).
-  enum class ComposeOutcome : uint8_t {
-    kGranted = 0,
-    kDenied = 1,
-    /// A consulted summary was missing, stale, or did not cover a
-    /// needed boundary vertex. Healthy path: frontier-exchange
-    /// fallback. Degraded path: kUnavailable.
-    kStale = 2,
-    /// The composition work cap was hit. Same handling as kStale.
-    kCapped = 3,
   };
 
   void PublishTopology(std::shared_ptr<const ShardTopology> topo);
 
-  /// Full multi-shard decision procedure (file comment, steps 1-3),
-  /// plus retry / breaker / degraded handling. Wrapped by DecideMulti,
-  /// which maintains the robustness counters.
+  /// Full multi-shard decision procedure (file comment, steps 1-2),
+  /// plus retry / breaker handling. Wrapped by DecideMulti, which
+  /// maintains the robustness counters.
   Result<AccessDecision> DecideMultiImpl(const AccessRequest& request) const;
   Result<AccessDecision> DecideMulti(const AccessRequest& request) const;
-
-  /// Degraded decision: the owner's shard is unreachable
-  /// (`owner_error`); conclude every rule path exactly from fresh
-  /// boundary summaries and healthy shards, or fail with kUnavailable.
-  Result<AccessDecision> DecideDegraded(const ShardTopology& topo,
-                                        const AccessRequest& request,
-                                        NodeId owner,
-                                        const Status& owner_error) const;
 
   /// Does a path from `owner` to `requester` matching (rule, path)
   /// exist in the global graph? Exact.
@@ -309,16 +258,7 @@ class ShardRouter {
                            uint32_t path, NodeId owner, NodeId requester,
                            CrossStats& stats) const;
 
-  /// Step 2 core: router-local summary composition from `seeds`,
-  /// finishing with a local walk on the requester's shard when entry
-  /// configurations landed there. Transport failures propagate as
-  /// statuses; composition obstructions come back as kStale / kCapped.
-  Result<ComposeOutcome> ComposeSummaries(
-      const ShardTopology& topo, RuleId rule, uint32_t path, NodeId owner,
-      NodeId requester, std::span<const wire::FrontierEntry> seeds,
-      CrossStats& stats) const;
-
-  /// Step 3: two-phase frontier-exchange rounds from `seeds`.
+  /// Step 2: two-phase frontier-exchange rounds from `seeds`.
   Result<bool> FallbackWalk(const ShardTopology& topo, RuleId rule,
                             uint32_t path, NodeId owner, NodeId requester,
                             std::span<const wire::FrontierEntry> seeds,
@@ -405,15 +345,12 @@ class ShardRouter {
     std::atomic<uint64_t> checks{0};
     std::atomic<uint64_t> cross_shard_checks{0};
     std::atomic<uint64_t> local_conclusive{0};
-    std::atomic<uint64_t> summary_resolved{0};
+    std::atomic<uint64_t> phase_one_resolved{0};
     std::atomic<uint64_t> fallback_walks{0};
     std::atomic<uint64_t> cross_fallback_walks{0};
     std::atomic<uint64_t> fallback_rounds{0};
-    std::atomic<uint64_t> stale_summary_fallbacks{0};
-    std::atomic<uint64_t> capped_compositions{0};
     std::atomic<uint64_t> retries{0};
     std::atomic<uint64_t> timeouts{0};
-    std::atomic<uint64_t> degraded_answers{0};
     std::atomic<uint64_t> unavailable_errors{0};
     // breaker_opens lives on the ShardHealthTracker.
   };

@@ -287,32 +287,6 @@ wire::MutateReply ShardEngine::Mutate(const wire::MutateRequest& request) {
   return ReplyFromOutcome(request, SubmitMutate(request).Wait());
 }
 
-Status ShardEngine::RefreshSummary(const ShardTopology& topology,
-                                   const BoundarySummaryOptions& options) {
-  const auto view = engine_.AcquireReadView();
-  if (view == nullptr) {
-    return Status::FailedPrecondition("RefreshSummary: indexes not built");
-  }
-  if (id_ >= topology.boundary.size()) {
-    return Status::InvalidArgument("RefreshSummary: shard id not in topology");
-  }
-  SARGUS_ASSIGN_OR_RETURN(
-      BoundarySummary built,
-      BoundarySummary::Build(
-          view->graph(), view->csr(), view->overlay(),
-          topology.boundary[id_], view->policy(),
-          {view->snapshot_generation(), view->overlay_version()}, options));
-  auto shared = std::make_shared<const BoundarySummary>(std::move(built));
-  std::lock_guard<std::mutex> lock(summary_mu_);
-  summary_ = std::move(shared);
-  return OkStatus();
-}
-
-std::shared_ptr<const BoundarySummary> ShardEngine::summary() const {
-  std::lock_guard<std::mutex> lock(summary_mu_);
-  return summary_;
-}
-
 std::vector<uint8_t> ShardEngine::HandleFrame(std::span<const uint8_t> frame) {
   Result<wire::Message> parsed = wire::ParseMessage(frame);
   if (!parsed.ok()) {

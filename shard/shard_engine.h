@@ -20,9 +20,7 @@
 ///     the wrapped engine's MPSC MutationQueue (engine/write_queue.h):
 ///     SubmitMutate enqueues and returns the WriteTicket, Mutate is the
 ///     Submit+Wait composition. Safe from any number of threads; the
-///     per-shard writer thread group-commits concurrent mutations;
-///   * RefreshSummary — (re)build the shard's boundary summary against
-///     its current read view.
+///     per-shard writer thread group-commits concurrent mutations.
 ///
 /// Two construction modes: the multi-shard mode owns its extracted graph
 /// copy and a clone of the master policy store (identical resource/rule
@@ -36,7 +34,6 @@
 
 #include "common/result.h"
 #include "engine/access_engine.h"
-#include "shard/boundary_summary.h"
 #include "shard/topology.h"
 #include "shard/wire.h"
 
@@ -127,17 +124,6 @@ class ShardEngine {
   /// byte-level callers are safe (serialized by submission order).
   std::vector<uint8_t> HandleFrame(std::span<const uint8_t> frame);
 
-  // ---- Boundary summary ---------------------------------------------------
-
-  /// Rebuilds this shard's boundary summary from its current read view
-  /// and `topology`'s boundary list, stamped with the view's stamps.
-  Status RefreshSummary(const ShardTopology& topology,
-                        const BoundarySummaryOptions& options);
-
-  /// The last built summary (null before the first RefreshSummary). The
-  /// router checks its stamp against ViewStamp() before trusting it.
-  std::shared_ptr<const BoundarySummary> summary() const;
-
  private:
   uint32_t id_;
   std::unique_ptr<SocialGraph> owned_graph_;
@@ -148,9 +134,6 @@ class ShardEngine {
 
   mutable std::mutex topo_mu_;
   std::shared_ptr<const ShardTopology> topology_;
-
-  mutable std::mutex summary_mu_;
-  std::shared_ptr<const BoundarySummary> summary_;
 };
 
 }  // namespace sargus

@@ -2,8 +2,8 @@
 #define SARGUS_SHARD_TOPOLOGY_H_
 
 /// \file topology.h
-/// \brief The immutable shard map: node -> shard assignment, the cut
-/// edge table, and each shard's boundary vertex list.
+/// \brief The immutable shard map: node -> shard assignment and the cut
+/// edge table.
 ///
 /// A ShardTopology is copy-on-write state shared between the router and
 /// every shard engine's readers. The router mutates a private clone
@@ -14,7 +14,6 @@
 /// a CheckAccess in flight during an AddEdge sees one coherent pair of
 /// (graph view, topology) snapshots.
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
@@ -24,10 +23,7 @@
 
 namespace sargus {
 
-/// One direction of a cut edge as seen from a boundary vertex: the far
-/// endpoint and the edge label. Stored in both orientations (cut_out
-/// keyed by src, cut_in keyed by dst) so forward and backward automaton
-/// steps both expand crossings with one lookup.
+/// A cut edge as seen from its source: the destination and the label.
 struct CutArc {
   NodeId other = 0;
   LabelId label = kInvalidLabel;
@@ -39,13 +35,9 @@ struct ShardTopology {
   /// node -> owning shard; size is the logical node count this topology
   /// version covers (nodes added later belong to a newer topology).
   std::vector<uint32_t> shard_of;
-  /// Cut edges by src (cut_out) and by dst (cut_in).
+  /// Cut edges by src. The router consults it to tell whether a write
+  /// changed the cut set, which is what triggers a republish.
   std::unordered_map<NodeId, std::vector<CutArc>> cut_out;
-  std::unordered_map<NodeId, std::vector<CutArc>> cut_in;
-  /// Per shard, the sorted list of its boundary vertices: nodes the
-  /// shard owns that touch at least one cut edge (either direction).
-  /// This is the vertex set boundary summaries are restricted to.
-  std::vector<std::vector<NodeId>> boundary;
   /// Bumped on every republish; purely diagnostic.
   uint64_t epoch = 0;
 
@@ -53,17 +45,6 @@ struct ShardTopology {
     const auto it = cut_out.find(node);
     if (it == cut_out.end()) return {};
     return it->second;
-  }
-  std::span<const CutArc> CutIn(NodeId node) const {
-    const auto it = cut_in.find(node);
-    if (it == cut_in.end()) return {};
-    return it->second;
-  }
-
-  /// Whether `node` is on `shard`'s boundary list (binary search).
-  bool IsBoundary(uint32_t shard, NodeId node) const {
-    const std::vector<NodeId>& b = boundary[shard];
-    return std::binary_search(b.begin(), b.end(), node);
   }
 };
 

@@ -520,10 +520,6 @@ void RunOracleComparison(Result<SocialGraph> generated,
         oracle.RemoveEdge(added[i].first, added[i].second, "friend").ok());
   }
   compare_random(80, "after-remove");
-
-  // Fresh summaries must not change any answer.
-  ASSERT_TRUE(router.RefreshSummaries().ok()) << tag;
-  compare_random(80, "after-refresh");
 }
 
 Result<SocialGraph> SmallEr(uint64_t seed) {
@@ -571,8 +567,8 @@ TEST(ShardRouterOracle, WattsStrogatzCommunity) {
 }
 
 TEST(ShardRouterOracle, BarabasiAlbertCommunityNoSummaries) {
-  // Same agreement with summaries disabled: every cross-shard path goes
-  // through the frontier-exchange fallback.
+  // Same agreement on a community cut: every cross-shard path that
+  // outlives phase one goes through frontier exchange.
   auto g = SmallBa(99);
   ASSERT_TRUE(g.ok());
   Workload w = MakeWorkload(std::move(*g));
@@ -580,7 +576,6 @@ TEST(ShardRouterOracle, BarabasiAlbertCommunityNoSummaries) {
   RouterOptions opts;
   opts.partition.num_shards = 4;
   opts.partition.strategy = PartitionStrategy::kCommunity;
-  opts.build_summaries = false;
   ShardRouter router(w.graph, w.store, opts);
   ASSERT_TRUE(router.Build().ok());
   AccessControlEngine oracle(oracle_graph, w.store);
@@ -592,19 +587,101 @@ TEST(ShardRouterOracle, BarabasiAlbertCommunityNoSummaries) {
         static_cast<NodeId>(rng.NextBounded(oracle_graph.NumNodes()));
     req.resource = w.resources[rng.NextBounded(w.resources.size())];
     ExpectAgrees(router.CheckAccess(req), oracle.CheckAccess(req),
-                 "nosummary slot " + std::to_string(i));
+                 "community slot " + std::to_string(i));
   }
-  const RouterCounters c = router.counters();
-  // With summaries disabled, any path evaluation that outlives phase
-  // one must have gone through frontier exchange (never a stale-summary
-  // detour, because there are no summaries to find stale).
-  EXPECT_GT(c.fallback_walks, 0u);
-  EXPECT_EQ(c.stale_summary_fallbacks, 0u);
+  EXPECT_GT(router.counters().fallback_walks, 0u);
+}
+
+// Seeded writes interleaved with checks, on 2, 4 and 7 contiguous
+// shards, with nothing ever refreshed between them: intra-shard and cut
+// edges are added and removed under three labels, and every decision
+// must equal a single engine that saw the same writes.
+void RunInterleavedWrites(uint32_t num_shards) {
+  const std::string tag = "interleaved/" + std::to_string(num_shards);
+  auto g = SmallBa(70 + num_shards);
+  ASSERT_TRUE(g.ok());
+  Workload w = MakeWorkload(std::move(*g));
+  SocialGraph oracle_graph = w.graph;
+  RouterOptions opts;
+  opts.partition.num_shards = num_shards;
+  opts.partition.strategy = PartitionStrategy::kContiguous;
+  ShardRouter router(w.graph, w.store, opts);
+  ASSERT_TRUE(router.Build().ok()) << tag;
+  AccessControlEngine oracle(oracle_graph, w.store);
+  ASSERT_TRUE(oracle.RebuildIndexes().ok());
+
+  const std::vector<std::string> labels = {"friend", "colleague", "family"};
+  const auto topo = router.topology();
+  const size_t n = topo->shard_of.size();
+  Rng rng(0x1A7E ^ num_shards);
+  struct Written {
+    NodeId src;
+    NodeId dst;
+    std::string label;
+  };
+  std::vector<Written> live;
+  uint64_t granted = 0;
+  uint64_t denied = 0;
+  auto check = [&](const AccessRequest& req, const std::string& where) {
+    const auto got = router.CheckAccess(req);
+    const auto want = oracle.CheckAccess(req);
+    ExpectAgrees(got, want,
+                 tag + "/" + where + " requester=" +
+                     std::to_string(req.requester) +
+                     " resource=" + std::to_string(req.resource));
+    if (want.ok()) ++(want->granted ? granted : denied);
+  };
+  auto random_resource = [&] {
+    return w.resources[rng.NextBounded(w.resources.size())];
+  };
+
+  for (int step = 0; step < 240; ++step) {
+    const std::string where = "step " + std::to_string(step);
+    if (!live.empty() && rng.NextBool(0.35)) {
+      const size_t k = rng.NextBounded(live.size());
+      const Written e = live[k];
+      live.erase(live.begin() + static_cast<ptrdiff_t>(k));
+      // A triple written twice is one edge (adds are idempotent), so its
+      // second removal is kNotFound on both sides.
+      const Status got = router.RemoveEdge(e.src, e.dst, e.label);
+      ASSERT_EQ(got.code(), oracle.RemoveEdge(e.src, e.dst, e.label).code())
+          << where << " " << got.ToString();
+      check({.requester = e.dst, .resource = random_resource()}, where);
+    } else {
+      // Half the writes stay inside one shard, half cross the cut.
+      const NodeId a = static_cast<NodeId>(rng.NextBounded(n));
+      const bool cut = rng.NextBool(0.5);
+      NodeId b = a;
+      for (int tries = 0; tries < 100; ++tries) {
+        b = static_cast<NodeId>(rng.NextBounded(n));
+        if (b != a && (topo->shard_of[a] != topo->shard_of[b]) == cut) break;
+      }
+      if (b == a) continue;
+      const std::string& label = labels[rng.NextBounded(labels.size())];
+      ASSERT_TRUE(router.AddEdge(a, b, label).ok()) << where;
+      ASSERT_TRUE(oracle.AddEdge(a, b, label).ok()) << where;
+      live.push_back({a, b, label});
+      check({.requester = b, .resource = random_resource()}, where);
+    }
+    for (int i = 0; i < 3; ++i) {
+      check({.requester = static_cast<NodeId>(rng.NextBounded(n)),
+             .resource = random_resource()},
+            where);
+    }
+  }
+  // Both verdicts occurred, and frontier exchange really carried some.
+  EXPECT_GT(granted, 0u) << tag;
+  EXPECT_GT(denied, 0u) << tag;
+  EXPECT_GT(router.counters().cross_fallback_walks, 0u) << tag;
+}
+
+TEST(ShardRouterOracle, InterleavedWritesAgreeWithoutRefresh) {
+  for (uint32_t shards : {2u, 4u, 7u}) RunInterleavedWrites(shards);
 }
 
 // ---- Router: forced fallback + counters -----------------------------------
 
-TEST(ShardRouter, StaleSummaryFallsBackThenRecovers) {
+TEST(ShardRouter, WritesVisibleToNextCrossShardCheck) {
   // Two contiguous shards over 8 nodes: 0-3 on shard 0, 4-7 on shard 1.
   // Chain 0 -f-> 4 -f-> 5 -f-> 1 needs three hops crossing the cut twice.
   SocialGraph g;
@@ -624,42 +701,38 @@ TEST(ShardRouter, StaleSummaryFallsBackThenRecovers) {
   ASSERT_EQ(router.topology()->shard_of[0], 0u);
   ASSERT_EQ(router.topology()->shard_of[5], 1u);
 
-  // Fresh summaries: the cross-shard grant resolves without fallback.
-  auto granted = router.CheckAccess({.requester = 1, .resource = res});
-  ASSERT_TRUE(granted.ok());
-  EXPECT_TRUE(granted->granted);
+  auto granted = [&](NodeId requester) {
+    auto d = router.CheckAccess({.requester = requester, .resource = res});
+    EXPECT_TRUE(d.ok()) << d.status().ToString();
+    return d.ok() && d->granted;
+  };
+  // The cross-shard grant takes frontier exchange.
+  EXPECT_TRUE(granted(1));
+  EXPECT_FALSE(granted(6));
+  EXPECT_FALSE(granted(3));
   RouterCounters c = router.counters();
-  EXPECT_EQ(c.fallback_walks, 0u);
-  EXPECT_GT(c.cross_shard_checks, 0u);
+  EXPECT_GT(c.cross_fallback_walks, 0u);
+  EXPECT_EQ(c.phase_one_resolved, 0u);
 
-  // An interior mutation on shard 1 (5 -> 6 stays inside the shard)
-  // dirties its summary stamp; the next cross-shard check must fall back
-  // to frontier exchange — and still answer correctly.
+  // An intra-shard write on shard 1 (5 -> 6): requester 6 is now three
+  // hops away, and the very next check sees it.
   ASSERT_TRUE(router.AddEdge(5, 6, "friend").ok());
-  granted = router.CheckAccess({.requester = 1, .resource = res});
-  ASSERT_TRUE(granted.ok());
-  EXPECT_TRUE(granted->granted);
-  c = router.counters();
-  EXPECT_GT(c.fallback_walks, 0u);
-  EXPECT_GT(c.stale_summary_fallbacks, 0u);
-  const uint64_t fallbacks_before = c.fallback_walks;
+  EXPECT_TRUE(granted(6));
 
-  // Rebuilt summaries: fallback count stops moving.
-  ASSERT_TRUE(router.RefreshSummaries().ok());
-  granted = router.CheckAccess({.requester = 1, .resource = res});
-  ASSERT_TRUE(granted.ok());
-  EXPECT_TRUE(granted->granted);
-  // Requester 6 is now reachable in two hops as well.
-  auto six = router.CheckAccess({.requester = 6, .resource = res});
-  ASSERT_TRUE(six.ok());
-  EXPECT_TRUE(six->granted);
-  // And node 3 never was.
-  auto three = router.CheckAccess({.requester = 3, .resource = res});
-  ASSERT_TRUE(three.ok());
-  EXPECT_FALSE(three->granted);
+  // A cut-edge write (4 on shard 1 -> 3 on shard 0) is just as
+  // immediate.
+  ASSERT_TRUE(router.AddEdge(4, 3, "friend").ok());
+  EXPECT_TRUE(granted(3));
+  EXPECT_TRUE(granted(1));
+
+  // Removing the owner's only edge (a cut edge) denies everyone at
+  // once; phase one then exports nothing and settles the check alone.
+  ASSERT_TRUE(router.RemoveEdge(0, 4, "friend").ok());
+  EXPECT_FALSE(granted(1));
+  EXPECT_FALSE(granted(3));
+  EXPECT_FALSE(granted(6));
   c = router.counters();
-  EXPECT_EQ(c.fallback_walks, fallbacks_before);
-  EXPECT_GT(c.summary_resolved, 0u);
+  EXPECT_GT(c.phase_one_resolved, 0u);
 }
 
 TEST(ShardRouter, AddNodeKeepsShardsAligned) {
@@ -735,7 +808,6 @@ TEST(ShardRouterConcurrency, ReadersRaceOneWriter) {
       } else {
         (void)router.AddEdge(a, b, "friend");
       }
-      if (step % 10 == 9) ASSERT_TRUE(router.RefreshSummaries().ok());
     }
   }
   // Let the readers observe the final state for a moment.
@@ -959,7 +1031,6 @@ TEST(ShardTransport, RouterRetriesTransientFaults) {
   RouterOptions opts;
   opts.partition.num_shards = 2;
   opts.partition.strategy = PartitionStrategy::kContiguous;
-  opts.robustness.allow_degraded = false;  // crisp error assertions
   FaultInjectionTransport* fault = nullptr;
   opts.transport_decorator =
       [&fault](std::unique_ptr<ShardTransport> inner)
@@ -973,14 +1044,13 @@ TEST(ShardTransport, RouterRetriesTransientFaults) {
   ASSERT_NE(fault, nullptr);
 
   // Shard 0's first two data-plane calls drop; the retry loop absorbs
-  // the storm and the decision is exact (and not marked degraded).
+  // the storm and the decision is exact.
   fault->AddSchedule({.shard = 0, .first_call = 0, .last_call = 1,
                       .kind = FaultKind::kDrop});
   const AccessRequest req{.requester = 1, .resource = f.res};
   auto d = router.CheckAccess(req);
   ASSERT_TRUE(d.ok()) << d.status().ToString();
   EXPECT_TRUE(d->granted);
-  EXPECT_TRUE(d->degraded_reason.empty());
   RouterCounters c = router.counters();
   EXPECT_EQ(c.retries, 2u);
   EXPECT_EQ(c.unavailable_errors, 0u);
@@ -1143,7 +1213,6 @@ TEST(ShardTransport, BackoffJitterIgnoresUnrelatedTraffic) {
     RouterOptions opts;
     opts.partition.num_shards = 2;
     opts.partition.strategy = PartitionStrategy::kContiguous;
-    opts.robustness.allow_degraded = false;
     opts.robustness.backoff_base_ms = 8;
     opts.robustness.backoff_max_ms = 64;
     opts.robustness.backoff_jitter = 0.9;  // big enough to see a reshuffle
@@ -1211,7 +1280,6 @@ void ExpectIdenticalDecision(const Result<AccessDecision>& threaded,
   EXPECT_EQ(threaded->snapshot_generation, serial->snapshot_generation)
       << context;
   EXPECT_EQ(threaded->overlay_version, serial->overlay_version) << context;
-  EXPECT_EQ(threaded->degraded_reason, serial->degraded_reason) << context;
   EXPECT_EQ(threaded->stats.pairs_visited, serial->stats.pairs_visited)
       << context;
 }
@@ -1321,11 +1389,7 @@ void RunParallelAgreement(Result<SocialGraph> generated,
         oracle.RemoveEdge(added[i].first, added[i].second, "friend").ok());
   }
   compare_singles(60, "after-remove");
-
-  ASSERT_TRUE(serial_router.RefreshSummaries().ok()) << tag;
-  ASSERT_TRUE(threaded_router.RefreshSummaries().ok()) << tag;
-  compare_singles(40, "after-refresh");
-  compare_batch("after-refresh");
+  compare_batch("after-remove");
 
   // The routers agree they did the same amount of work, not just that
   // they reached the same verdicts.
@@ -1334,7 +1398,7 @@ void RunParallelAgreement(Result<SocialGraph> generated,
   EXPECT_EQ(tc.checks, sc.checks) << tag;
   EXPECT_EQ(tc.cross_shard_checks, sc.cross_shard_checks) << tag;
   EXPECT_EQ(tc.local_conclusive, sc.local_conclusive) << tag;
-  EXPECT_EQ(tc.summary_resolved, sc.summary_resolved) << tag;
+  EXPECT_EQ(tc.phase_one_resolved, sc.phase_one_resolved) << tag;
   EXPECT_EQ(tc.fallback_walks, sc.fallback_walks) << tag;
   EXPECT_EQ(tc.fallback_rounds, sc.fallback_rounds) << tag;
   EXPECT_EQ(tc.retries, sc.retries) << tag;
@@ -1363,9 +1427,9 @@ TEST(ShardParallelAgreement, WattsStrogatzCommunity) {
 }
 
 TEST(ShardParallelAgreement, NoSummariesForcesParallelFallbackRounds) {
-  // With summaries disabled every cross-shard path takes the frontier-
-  // exchange fallback, whose rounds now scatter all shards in parallel
-  // — the hardest surface to keep byte-identical.
+  // Every cross-shard path that outlives phase one takes frontier
+  // exchange, whose rounds scatter all shards in parallel — the hardest
+  // surface to keep byte-identical.
   auto run = [](bool threaded) {
     auto g = SmallBa(99);
     EXPECT_TRUE(g.ok());
@@ -1373,7 +1437,6 @@ TEST(ShardParallelAgreement, NoSummariesForcesParallelFallbackRounds) {
     RouterOptions opts;
     opts.partition.num_shards = 4;
     opts.partition.strategy = PartitionStrategy::kCommunity;
-    opts.build_summaries = false;
     opts.robustness.call_deadline_ms = 0;
     opts.robustness.op_budget_ms = 0;
     opts.threaded_transport = threaded;
@@ -1397,7 +1460,7 @@ TEST(ShardParallelAgreement, NoSummariesForcesParallelFallbackRounds) {
     req.resource = sw->resources[rng.NextBounded(sw->resources.size())];
     ExpectIdenticalDecision(threaded->CheckAccess(req),
                             serial->CheckAccess(req),
-                            "nosummary slot " + std::to_string(i));
+                            "community slot " + std::to_string(i));
   }
   const RouterCounters sc = serial->counters();
   const RouterCounters tc = threaded->counters();
