@@ -14,6 +14,10 @@
 ///
 /// BM_ShardCheckAccess / BM_ShardCheckBatch price reads on a static
 /// graph; BM_ShardDirtyChurn interleaves router writes with the reads.
+/// Every call reaches its shard through the one serial
+/// InProcessTransport. At 1 shard the topology has no cut edges, so the
+/// owner shard's reply settles every check (cross_share is 0) and the
+/// series prices the router and transport over a single engine.
 ///
 /// Robustness series: BM_ShardDirectCall / BM_ShardTransportCall price
 /// the fault-free transport seam (the acceptance bar is the transport
@@ -24,7 +28,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <memory>
 #include <string>
 #include <utility>
@@ -289,130 +292,6 @@ void BM_ShardFaultInjection(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ShardFaultInjection);
-
-/// Scatter-gather fan-out series: the same grant-heavy batch
-/// through a serial-transport router and a thread-per-shard
-/// (ThreadedTransport) router, at each shard count. The workload is
-/// deliberately settled entirely by the per-shard sub-batches — every
-/// slot is an owner-shard-local grant — so the measurement isolates
-/// what the executor buys: with S shards the sub-batches run on S
-/// worker threads instead of one after another.
-///
-/// The measured series (manual time) is the THREADED batch;
-/// speedup_threaded_vs_serial is the serial/threaded wall ratio from
-/// the same iterations (it tends toward ~1x on a single hardware
-/// thread, where concurrency cannot buy wall time).
-constexpr size_t kFanBatch = 1024;
-
-struct FanOutFixture {
-  std::unique_ptr<SocialGraph> serial_graph;
-  std::unique_ptr<SocialGraph> threaded_graph;
-  std::unique_ptr<PolicyStore> store;
-  std::unique_ptr<ShardRouter> serial;
-  std::unique_ptr<ShardRouter> threaded;
-  std::vector<AccessRequest> batch;
-};
-
-std::unique_ptr<FanOutFixture> MakeFanOutFixture(uint32_t shards) {
-  auto f = std::make_unique<FanOutFixture>();
-  f->serial_graph = std::make_unique<SocialGraph>(
-      MakeGraph(GraphKind::kBarabasiAlbert, kNodes, 3, /*seed=*/29));
-  f->threaded_graph = std::make_unique<SocialGraph>(*f->serial_graph);
-  f->store = std::make_unique<PolicyStore>();
-  Rng rng(0xFA40);
-  std::vector<ResourceId> res;
-  for (size_t i = 0; i < kResources; ++i) {
-    const ResourceId r = f->store->RegisterResource(
-        static_cast<NodeId>(rng.NextBounded(kNodes)),
-        "res" + std::to_string(i));
-    if (!f->store->AddRuleFromPaths(r, {"friend[1,2]"}).ok()) return nullptr;
-    res.push_back(r);
-  }
-
-  RouterOptions base;
-  base.partition.num_shards = shards;
-  base.partition.strategy = PartitionStrategy::kContiguous;
-  // No per-attempt deadlines: a backed-up queue under full fan-out load
-  // must not turn into spurious timeouts that change the work done.
-  base.robustness.call_deadline_ms = 0;
-  base.robustness.op_budget_ms = 0;
-  RouterOptions threaded_opts = base;
-  threaded_opts.threaded_transport = true;
-  f->serial =
-      std::make_unique<ShardRouter>(*f->serial_graph, *f->store, base);
-  if (!f->serial->Build().ok()) return nullptr;
-  f->threaded = std::make_unique<ShardRouter>(*f->threaded_graph, *f->store,
-                                              threaded_opts);
-  if (!f->threaded->Build().ok()) return nullptr;
-
-  // Plant same-shard friend edges from every owner (mirrored into both
-  // routers) and draw requesters from those pools: every batch slot is
-  // granted inside its owner's shard, so no slot escalates to the
-  // serial cross-shard machinery.
-  const auto topo = f->serial->topology();
-  std::vector<std::vector<NodeId>> pools(res.size());
-  for (size_t i = 0; i < res.size(); ++i) {
-    const NodeId owner = f->store->resource(res[i]).owner;
-    const uint32_t home = topo->shard_of[owner];
-    for (int tries = 0; tries < 400 && pools[i].size() < 8; ++tries) {
-      const NodeId cand = static_cast<NodeId>(rng.NextBounded(kNodes));
-      if (cand == owner || topo->shard_of[cand] != home) continue;
-      if (!f->serial->AddEdge(owner, cand, "friend").ok()) return nullptr;
-      if (!f->threaded->AddEdge(owner, cand, "friend").ok()) return nullptr;
-      pools[i].push_back(cand);
-    }
-    if (pools[i].empty()) return nullptr;
-  }
-  for (size_t i = 0; i < kFanBatch; ++i) {
-    const size_t r = i % res.size();
-    f->batch.push_back(
-        {.requester = pools[r][i % pools[r].size()], .resource = res[r]});
-  }
-  return f;
-}
-
-void BM_ShardBatchFanOut(benchmark::State& state) {
-  const auto shards = static_cast<uint32_t>(state.range(0));
-  auto f = MakeFanOutFixture(shards);
-  if (f == nullptr) {
-    state.SkipWithError("fixture build failed");
-    return;
-  }
-  using Clock = std::chrono::steady_clock;
-  double serial_sec = 0.0;
-  double threaded_sec = 0.0;
-  for (auto _ : state) {
-    const auto t0 = Clock::now();
-    auto sd = f->serial->CheckAccessBatch(f->batch);
-    const auto t1 = Clock::now();
-    auto td = f->threaded->CheckAccessBatch(f->batch);
-    const auto t2 = Clock::now();
-    benchmark::DoNotOptimize(sd);
-    benchmark::DoNotOptimize(td);
-    const double s = std::chrono::duration<double>(t1 - t0).count();
-    const double t = std::chrono::duration<double>(t2 - t1).count();
-    serial_sec += s;
-    threaded_sec += t;
-    state.SetIterationTime(t);
-  }
-  state.counters["speedup_threaded_vs_serial"] =
-      threaded_sec > 0.0 ? serial_sec / threaded_sec : 0.0;
-  state.counters["serial_batch_ms"] =
-      state.iterations() > 0
-          ? 1e3 * serial_sec / static_cast<double>(state.iterations())
-          : 0.0;
-  state.counters["threaded_batch_ms"] =
-      state.iterations() > 0
-          ? 1e3 * threaded_sec / static_cast<double>(state.iterations())
-          : 0.0;
-  state.SetItemsProcessed(state.iterations() * kFanBatch);
-}
-BENCHMARK(BM_ShardBatchFanOut)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseManualTime();
 
 }  // namespace
 }  // namespace bench

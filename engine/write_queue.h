@@ -91,8 +91,7 @@ struct WriteOutcome {
   NodeId node = 0;
 };
 
-/// Future-backed handle to one submitted mutation (the write-side
-/// sibling of shard/transport.h's TransportTicket). Copyable; Wait() may
+/// Future-backed handle to one submitted mutation. Copyable; Wait() may
 /// be called from any thread and any number of times — the outcome is
 /// latched on first completion.
 class WriteTicket {

@@ -30,6 +30,17 @@ bool IsTransportError(const Status& s) {
          s.code() == StatusCode::kDeadlineExceeded;
 }
 
+/// Router decisions carry the router stamp (the sum over shards), not
+/// the answering shard's own.
+Result<AccessDecision> Stamped(Result<AccessDecision> d,
+                               const wire::Stamp& stamp) {
+  if (d.ok()) {
+    d->snapshot_generation = stamp.snapshot_generation;
+    d->overlay_version = stamp.overlay_version;
+  }
+  return d;
+}
+
 bool HasCutArc(const ShardTopology& topo, NodeId src, NodeId dst,
                LabelId label) {
   for (const CutArc& a : topo.CutOut(src)) {
@@ -66,7 +77,7 @@ Status ShardRouter::Build() {
 
   shards_.clear();
   if (partition_.num_shards == 1) {
-    // Zero-copy passthrough: one engine over the caller's graph + store.
+    // One shard: the engine serves the caller's graph + store in place.
     shards_.push_back(std::make_unique<ShardEngine>(
         0, *master_graph_, *master_store_, options_.engine));
   } else {
@@ -90,13 +101,7 @@ Status ShardRouter::Build() {
   std::vector<ShardEngine*> raw;
   raw.reserve(shards_.size());
   for (auto& shard : shards_) raw.push_back(shard.get());
-  std::unique_ptr<ShardTransport> base;
-  if (options_.threaded_transport) {
-    base = std::make_unique<ThreadedTransport>(std::move(raw),
-                                               options_.executor);
-  } else {
-    base = std::make_unique<InProcessTransport>(std::move(raw));
-  }
+  auto base = std::make_unique<InProcessTransport>(std::move(raw));
   transport_ = options_.transport_decorator
                    ? options_.transport_decorator(std::move(base))
                    : std::move(base);
@@ -187,89 +192,49 @@ RouterCounters ShardRouter::counters() const {
   return c;
 }
 
-template <typename Reply, typename SubmitFn>
-ShardRouter::PendingCall<Reply> ShardRouter::BeginCall(uint32_t shard,
-                                                       uint64_t salt,
-                                                       SubmitFn&& submit) const {
-  const RouterRobustnessOptions& rb = options_.robustness;
-  PendingCall<Reply> pc;
-  pc.shard = shard;
-  pc.salt = salt;
-  const uint64_t now = transport_->NowMs();
-  pc.budget_deadline = rb.op_budget_ms == 0 ? 0 : now + rb.op_budget_ms;
-  if (!health_->AllowCall(shard, now)) {
-    pc.early = Status::Unavailable("shard " + std::to_string(shard) +
-                                   ": circuit breaker open");
-    return pc;
-  }
-  TransportCallOptions opts;
-  if (rb.call_deadline_ms != 0) {
-    opts.deadline_ms = now + rb.call_deadline_ms;
-    if (pc.budget_deadline != 0 && opts.deadline_ms > pc.budget_deadline) {
-      opts.deadline_ms = pc.budget_deadline;
-    }
-  } else {
-    opts.deadline_ms = pc.budget_deadline;
-  }
-  pc.ticket = submit(opts);
-  return pc;
-}
-
 template <typename Reply, typename Fn>
-Result<Reply> ShardRouter::FinishCall(PendingCall<Reply>& pending,
-                                      Fn&& call) const {
+Result<Reply> ShardRouter::CallShard(uint32_t shard, uint64_t salt,
+                                     Fn&& call) const {
   const RouterRobustnessOptions& rb = options_.robustness;
-  if (pending.early.has_value()) return *pending.early;
-  const uint32_t shard = pending.shard;
+  const uint64_t start = transport_->NowMs();
+  const uint64_t budget_deadline =
+      rb.op_budget_ms == 0 ? 0 : start + rb.op_budget_ms;
   const uint32_t attempts = std::max<uint32_t>(1, rb.max_attempts);
   Status last = OkStatus();
+  auto last_attempt = [&last]() -> std::string {
+    return last.ok() ? "" : " (last attempt: " + last.ToString() + ")";
+  };
   for (uint32_t attempt = 0; attempt < attempts; ++attempt) {
-    std::optional<Result<Reply>> r;
-    if (attempt == 0) {
-      // Attempt 0 was submitted by BeginCall; collect it. On a serial
-      // transport the ticket is already resolved.
-      r = pending.ticket.Wait();
-    } else {
-      const uint64_t now = transport_->NowMs();
-      if (pending.budget_deadline != 0 && now > pending.budget_deadline) {
-        counters_.timeouts.fetch_add(1, kRelaxed);
-        return Status::DeadlineExceeded(
-            "shard " + std::to_string(shard) + ": operation budget exhausted" +
-            (last.ok() ? "" : " (last attempt: " + last.ToString() + ")"));
-      }
-      if (!health_->AllowCall(shard, now)) {
-        return Status::Unavailable(
-            "shard " + std::to_string(shard) + ": circuit breaker open" +
-            (last.ok() ? "" : " (last attempt: " + last.ToString() + ")"));
-      }
-      counters_.retries.fetch_add(1, kRelaxed);
-      TransportCallOptions opts;
-      if (rb.call_deadline_ms != 0) {
-        opts.deadline_ms = now + rb.call_deadline_ms;
-        if (pending.budget_deadline != 0 &&
-            opts.deadline_ms > pending.budget_deadline) {
-          opts.deadline_ms = pending.budget_deadline;
-        }
-      } else {
-        opts.deadline_ms = pending.budget_deadline;
-      }
-      // Retries run synchronously on the gathering thread: by the time
-      // a retry is warranted the scatter is already collapsing, and a
-      // serial retry keeps the attempt ordering the breaker sees
-      // identical to the pre-scatter router's.
-      r = call(opts);
+    const uint64_t now = attempt == 0 ? start : transport_->NowMs();
+    if (attempt > 0 && budget_deadline != 0 && now > budget_deadline) {
+      counters_.timeouts.fetch_add(1, kRelaxed);
+      return Status::DeadlineExceeded("shard " + std::to_string(shard) +
+                                      ": operation budget exhausted" +
+                                      last_attempt());
     }
-    if (r->ok()) {
+    if (!health_->AllowCall(shard, now)) {
+      return Status::Unavailable("shard " + std::to_string(shard) +
+                                 ": circuit breaker open" + last_attempt());
+    }
+    if (attempt > 0) counters_.retries.fetch_add(1, kRelaxed);
+    TransportCallOptions opts;
+    opts.deadline_ms = budget_deadline;
+    if (rb.call_deadline_ms != 0 &&
+        (budget_deadline == 0 || now + rb.call_deadline_ms < budget_deadline)) {
+      opts.deadline_ms = now + rb.call_deadline_ms;
+    }
+    Result<Reply> r = call(opts);
+    if (r.ok()) {
       // The transport worked; an in-band reply status is an answer,
       // not an infrastructure failure.
       health_->RecordSuccess(shard);
-      return std::move(*r);
+      return r;
     }
     health_->RecordFailure(shard, transport_->NowMs());
-    if (r->status().code() == StatusCode::kDeadlineExceeded) {
+    if (r.status().code() == StatusCode::kDeadlineExceeded) {
       counters_.timeouts.fetch_add(1, kRelaxed);
     }
-    last = r->status();
+    last = r.status();
     if (attempt + 1 < attempts) {
       uint64_t backoff = std::min<uint64_t>(
           uint64_t{rb.backoff_base_ms} << attempt, rb.backoff_max_ms);
@@ -279,8 +244,7 @@ Result<Reply> ShardRouter::FinishCall(PendingCall<Reply>& pending,
         // storms jitter identically no matter how they interleave —
         // yet distinct calls never lockstep.
         const uint64_t h = Mix64(rb.jitter_seed ^ (uint64_t{shard} << 40) ^
-                                 (uint64_t{attempt} << 32) ^
-                                 Mix64(pending.salt));
+                                 (uint64_t{attempt} << 32) ^ Mix64(salt));
         const double frac = static_cast<double>(h >> 11) * 0x1.0p-53;
         backoff += static_cast<uint64_t>(static_cast<double>(backoff) *
                                          rb.backoff_jitter * frac);
@@ -289,16 +253,6 @@ Result<Reply> ShardRouter::FinishCall(PendingCall<Reply>& pending,
     }
   }
   return last;
-}
-
-template <typename Reply, typename Fn>
-Result<Reply> ShardRouter::CallShard(uint32_t shard, uint64_t salt,
-                                     Fn&& call) const {
-  PendingCall<Reply> pc =
-      BeginCall<Reply>(shard, salt, [&](const TransportCallOptions& opts) {
-        return TransportTicket<Reply>::Ready(call(opts));
-      });
-  return FinishCall<Reply>(pc, call);
 }
 
 Result<wire::MutateReply> ShardRouter::CallMutate(
@@ -318,12 +272,6 @@ Result<AccessDecision> ShardRouter::CheckAccess(
     return Status::FailedPrecondition("ShardRouter: Build() not called");
   }
   counters_.checks.fetch_add(1, kRelaxed);
-  if (DirectSingleShard()) {
-    // Passthrough: the decision carries the engine's own stamps. A
-    // decorated (fault-injectable) transport disables the shortcut so
-    // single-shard configurations exercise the full robust path.
-    return shards_[0]->engine().CheckAccess(request);
-  }
   return DecideMulti(request);
 }
 
@@ -365,7 +313,8 @@ Result<AccessDecision> ShardRouter::DecideMultiImpl(
 
   // Step 1 (local phase): the owner shard decides over its local edges.
   // A grant is authoritative — local edges are a subset of global edges
-  // — and carries the witness when one was requested.
+  // — and carries the witness when one was requested. With no cut edge
+  // anywhere no walk can leave the owner's shard, so any reply is.
   const uint32_t owner_shard = topo->shard_of[res.owner];
   const uint64_t check_salt =
       (uint64_t{request.requester} << 32) ^ request.resource;
@@ -378,13 +327,11 @@ Result<AccessDecision> ShardRouter::DecideMultiImpl(
   // conclude the check exactly.
   if (!local_r.ok()) return local_r.status();
   const wire::CheckReply& local = *local_r;
-  if (local.status_code == 0 && local.granted != 0) {
+  if ((local.status_code == 0 && local.granted != 0) ||
+      topo->cut_out.empty()) {
     counters_.local_conclusive.fetch_add(1, kRelaxed);
-    Result<AccessDecision> d =
-        FromWire(local, request.requester, request.resource);
-    d->snapshot_generation = stamp.snapshot_generation;
-    d->overlay_version = stamp.overlay_version;
-    return d;
+    return Stamped(FromWire(local, request.requester, request.resource),
+                   stamp);
   }
   if (request.evaluator_override.has_value() && local.status_code != 0) {
     // Evaluator overrides are a shard-local concern (the cross-shard
@@ -478,12 +425,12 @@ Result<bool> ShardRouter::FallbackWalk(
                              requester;
 
   // Two-phase rounds: every shard with pending entries walks once per
-  // round; fresh exports only enter the NEXT round's pending sets, so a
-  // round's walks are independent of each other's results — which is
-  // exactly what lets one round SCATTER all its per-shard walks through
-  // the async transport surface and gather them at a barrier. The
-  // global processed set makes each (node, state) configuration cross a
-  // shard boundary at most once, which bounds the rounds.
+  // round, in ascending shard order, and fresh exports only enter the
+  // NEXT round's pending sets — so a round's walks are independent of
+  // each other's results, and the round runs to its end even after an
+  // acceptance or a failure. The global processed set makes each
+  // (node, state) configuration cross a shard boundary at most once,
+  // which bounds the rounds.
   std::unordered_set<uint64_t> processed;
   std::vector<std::vector<wire::FrontierEntry>> pending(shards_.size());
   auto enqueue = [&](const wire::FrontierEntry& e,
@@ -493,45 +440,29 @@ Result<bool> ShardRouter::FallbackWalk(
     }
   };
   for (const wire::FrontierEntry& e : seeds) enqueue(e, pending);
+  auto idle = [&pending] {
+    return std::all_of(pending.begin(), pending.end(),
+                       [](const auto& p) { return p.empty(); });
+  };
 
   uint64_t rounds = 0;
   bool accepted = false;
   std::optional<Status> failure;
-  while (!accepted && !failure.has_value()) {
-    std::vector<wire::WalkRequest> reqs(shards_.size());
-    std::vector<uint32_t> active;
+  while (!accepted && !failure.has_value() && !idle()) {
+    ++rounds;
+    std::vector<std::vector<wire::FrontierEntry>> next(shards_.size());
     for (uint32_t s = 0; s < shards_.size(); ++s) {
       if (pending[s].empty()) continue;
-      wire::WalkRequest& wr = reqs[s];
+      wire::WalkRequest wr;
       wr.rule = rule;
       wr.path = path;
       wr.requester = requester;
       wr.seed = wire::WalkSeed::kFrontier;
       wr.owner = owner;
       wr.frontier = std::move(pending[s]);
-      active.push_back(s);
-    }
-    if (active.empty()) break;
-    ++rounds;
-    // Scatter: submit every active shard's walk before gathering any.
-    std::vector<PendingCall<wire::WalkReply>> calls(active.size());
-    for (size_t k = 0; k < active.size(); ++k) {
-      const uint32_t s = active[k];
-      calls[k] = BeginCall<wire::WalkReply>(
+      const Result<wire::WalkReply> rr = CallShard<wire::WalkReply>(
           s, base_salt ^ (rounds << 8), [&](const TransportCallOptions& opts) {
-            return transport_->SubmitWalk(s, reqs[s], opts);
-          });
-    }
-    // Barrier gather, ascending shard order: every ticket is resolved —
-    // even after an acceptance or failure — so no walk is abandoned
-    // mid-round, and the export merge order matches a serial transport
-    // exactly (the agreement wall relies on this).
-    std::vector<std::vector<wire::FrontierEntry>> next(shards_.size());
-    for (size_t k = 0; k < active.size(); ++k) {
-      const uint32_t s = active[k];
-      Result<wire::WalkReply> rr = FinishCall<wire::WalkReply>(
-          calls[k], [&](const TransportCallOptions& opts) {
-            return transport_->ExpandFrontier(s, reqs[s], opts);
+            return transport_->ExpandFrontier(s, wr, opts);
           });
       const Status st = rr.ok()
                             ? wire::UnpackStatus(rr->status_code, rr->error)
@@ -568,16 +499,15 @@ std::vector<Result<AccessDecision>> ShardRouter::CheckAccessBatch(
     return out;
   }
   counters_.checks.fetch_add(requests.size(), kRelaxed);
-  if (DirectSingleShard()) {
-    return shards_[0]->engine().CheckAccessBatch(requests);
-  }
 
   const auto topo = topology();
   const wire::Stamp stamp = Stamp();
+  const bool cut_free = topo->cut_out.empty();
   std::vector<std::optional<Result<AccessDecision>>> slots(requests.size());
 
   // Group by resource-owner shard; one shard-local batch per group.
-  // Shard-local grants are authoritative; everything else escalates.
+  // Authoritative replies (see DecideMultiImpl) settle their slots;
+  // everything else escalates.
   std::vector<std::vector<uint32_t>> groups(shards_.size());
   for (uint32_t i = 0; i < requests.size(); ++i) {
     const AccessRequest& r = requests[i];
@@ -594,43 +524,19 @@ std::vector<Result<AccessDecision>> ShardRouter::CheckAccessBatch(
     }
     groups[topo->shard_of[resources_[r.resource].owner]].push_back(i);
   }
-  // Scatter: build every group's sub-batch, submit them all through the
-  // async transport surface, THEN gather in shard order. On the
-  // threaded transport the sub-batches execute concurrently, one worker
-  // per owner shard; on a serial transport the submits run inline and
-  // this is exactly the old one-group-at-a-time loop.
-  struct GroupCall {
-    uint32_t shard = 0;
-    wire::BatchCheckRequest batch;
-    PendingCall<wire::BatchCheckReply> pending;
-  };
-  std::vector<GroupCall> group_calls;
   for (uint32_t s = 0; s < groups.size(); ++s) {
     if (groups[s].empty()) continue;
-    GroupCall gc;
-    gc.shard = s;
-    gc.batch.requests.reserve(groups[s].size());
-    for (uint32_t i : groups[s]) {
-      gc.batch.requests.push_back(ToWire(requests[i]));
-    }
-    group_calls.push_back(std::move(gc));
-  }
-  for (GroupCall& gc : group_calls) {
-    const wire::CheckRequest& head = gc.batch.requests.front();
-    const uint64_t salt = 0xBA7CULL ^ (uint64_t{gc.shard} << 48) ^
-                          (gc.batch.requests.size() << 36) ^
+    wire::BatchCheckRequest batch;
+    batch.requests.reserve(groups[s].size());
+    for (uint32_t i : groups[s]) batch.requests.push_back(ToWire(requests[i]));
+    const wire::CheckRequest& head = batch.requests.front();
+    const uint64_t salt = 0xBA7CULL ^ (uint64_t{s} << 48) ^
+                          (batch.requests.size() << 36) ^
                           (uint64_t{head.requester} << 18) ^ head.resource;
-    gc.pending = BeginCall<wire::BatchCheckReply>(
-        gc.shard, salt, [&](const TransportCallOptions& opts) {
-          return transport_->SubmitBatch(gc.shard, gc.batch, opts);
-        });
-  }
-  for (GroupCall& gc : group_calls) {
-    const uint32_t s = gc.shard;
     const Result<wire::BatchCheckReply> replies_r =
-        FinishCall<wire::BatchCheckReply>(
-            gc.pending, [&](const TransportCallOptions& opts) {
-              return transport_->CheckBatch(s, gc.batch, opts);
+        CallShard<wire::BatchCheckReply>(
+            s, salt, [&](const TransportCallOptions& opts) {
+              return transport_->CheckBatch(s, batch, opts);
             });
     // A transport failure (or short reply) escalates every slot of the
     // group to the per-request procedure, which carries its own retry
@@ -641,13 +547,12 @@ std::vector<Result<AccessDecision>> ShardRouter::CheckAccessBatch(
     for (size_t k = 0; k < groups[s].size(); ++k) {
       const uint32_t i = groups[s][k];
       const wire::CheckReply& reply = replies.replies[k];
-      if (reply.status_code != 0 || reply.granted == 0) continue;
+      if (!cut_free && (reply.status_code != 0 || reply.granted == 0)) {
+        continue;
+      }
       counters_.local_conclusive.fetch_add(1, kRelaxed);
-      Result<AccessDecision> d =
-          FromWire(reply, requests[i].requester, requests[i].resource);
-      d->snapshot_generation = stamp.snapshot_generation;
-      d->overlay_version = stamp.overlay_version;
-      slots[i] = std::move(d);
+      slots[i] = Stamped(
+          FromWire(reply, requests[i].requester, requests[i].resource), stamp);
     }
   }
 
@@ -667,9 +572,6 @@ Status ShardRouter::AddEdge(NodeId src, NodeId dst, const std::string& label) {
   std::lock_guard<std::mutex> lock(write_mu_);
   if (!built_) {
     return Status::FailedPrecondition("ShardRouter: Build() not called");
-  }
-  if (DirectSingleShard()) {
-    return shards_[0]->engine().AddEdge(src, dst, label);
   }
   const auto topo = topology();
   if (src >= topo->shard_of.size() || dst >= topo->shard_of.size()) {
@@ -694,9 +596,6 @@ Status ShardRouter::AddEdge(NodeId src, NodeId dst, LabelId label) {
 Status ShardRouter::AddEdgeImpl(NodeId src, NodeId dst, LabelId label) {
   if (!built_) {
     return Status::FailedPrecondition("ShardRouter: Build() not called");
-  }
-  if (DirectSingleShard()) {
-    return shards_[0]->engine().AddEdge(src, dst, label);
   }
   const auto topo = topology();
   if (src >= topo->shard_of.size() || dst >= topo->shard_of.size()) {
@@ -754,9 +653,6 @@ Status ShardRouter::RemoveEdge(NodeId src, NodeId dst,
   if (!built_) {
     return Status::FailedPrecondition("ShardRouter: Build() not called");
   }
-  if (DirectSingleShard()) {
-    return shards_[0]->engine().RemoveEdge(src, dst, label);
-  }
   const LabelId id = master_graph_->labels().Lookup(label);
   if (id == kInvalidLabel) {
     return Status::NotFound("RemoveEdge: unknown label '" + label + "'");
@@ -772,9 +668,6 @@ Status ShardRouter::RemoveEdge(NodeId src, NodeId dst, LabelId label) {
 Status ShardRouter::RemoveEdgeImpl(NodeId src, NodeId dst, LabelId label) {
   if (!built_) {
     return Status::FailedPrecondition("ShardRouter: Build() not called");
-  }
-  if (DirectSingleShard()) {
-    return shards_[0]->engine().RemoveEdge(src, dst, label);
   }
   const auto topo = topology();
   if (src >= topo->shard_of.size() || dst >= topo->shard_of.size()) {
@@ -828,16 +721,6 @@ Result<NodeId> ShardRouter::AddNode() {
     return Status::FailedPrecondition("ShardRouter: Build() not called");
   }
   const auto topo = topology();
-  if (shards_.size() == 1) {
-    SARGUS_ASSIGN_OR_RETURN(const NodeId id,
-                            shards_[0]->engine().AddNode());
-    auto next = std::make_shared<ShardTopology>(*topo);
-    next->shard_of.push_back(0);
-    ++next->epoch;
-    PublishTopology(std::move(next));
-    return id;
-  }
-
   // Every shard keeps the full node id space, so the node is added to
   // ALL shards (the ids must come back aligned); the topology then
   // assigns ownership to the least-loaded shard. This is a cluster-

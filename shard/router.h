@@ -13,12 +13,17 @@
 /// over the unpartitioned graph — while all real work happens inside
 /// the shards, reached only through the wire messages of shard/wire.h.
 ///
-/// Decision procedure for a cross-shard check (see PathReaches):
+/// Decision procedure for a non-owner check (see DecideMultiImpl):
 ///
-///   1. *Local phase*: ask the resource owner's shard directly. A grant
-///      is authoritative (shard-local edges are a subset of global
-///      edges); a deny is authoritative only if the phase-one walk's
-///      export set is empty (no configuration escaped the shard).
+///   1. *Local phase*: ask the resource owner's shard directly. Its
+///      reply is authoritative when it grants (shard-local edges are a
+///      subset of global edges) or when the topology has no cut edges
+///      (no walk can then leave the owner's shard, so the local answer
+///      is the global one; this covers N = 1, where one ShardEngine
+///      wraps the caller's graph and store in place). Otherwise each
+///      rule path runs a phase-one walk on the owner's shard; its deny
+///      is authoritative only if the walk's export set is empty (no
+///      configuration escaped the shard).
 ///   2. *Frontier exchange*: two-phase rounds shipping (node, state,
 ///      residual-hops) frontiers to the owning shards until acceptance
 ///      or a global fixpoint. Exact, and it reads the shards' current
@@ -29,11 +34,6 @@
 /// copy-on-write topology when the cut set or node count changes. The
 /// router's write path must itself be externally serialized (one writer
 /// at a time), mirroring the engine contract; reads are concurrent.
-///
-/// With N = 1 the router is a zero-copy passthrough: one ShardEngine
-/// wraps the caller's graph and store in place, and CheckAccess simply
-/// forwards (decisions carry the engine's own stamps, byte-identical to
-/// going through the engine directly).
 ///
 /// Robustness: every data-plane shard call goes through a
 /// ShardTransport (shard/transport.h) under a retry / deadline /
@@ -52,14 +52,12 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "engine/access_engine.h"
-#include "shard/executor_transport.h"
 #include "shard/partitioner.h"
 #include "shard/shard_engine.h"
 #include "shard/topology.h"
@@ -102,24 +100,8 @@ struct RouterOptions {
   EngineOptions engine;
   /// Retry / deadline / breaker policy.
   RouterRobustnessOptions robustness;
-  /// Put the thread-per-shard executor (shard/executor_transport.h)
-  /// behind the transport seam instead of the serial
-  /// InProcessTransport. CheckAccessBatch sub-batches and frontier-
-  /// exchange rounds then really run concurrently across shards (the
-  /// router scatters through Submit* and gathers in shard order, so
-  /// decisions are byte-identical to the serial transport's). Like a
-  /// transport_decorator, this disables the N == 1 direct passthrough
-  /// so single-shard configurations exercise the executor too.
-  bool threaded_transport = false;
-  /// Executor knobs (queue bounds, workers per shard, test hook) when
-  /// threaded_transport is set.
-  ThreadedTransportOptions executor;
-  /// Wraps the router's transport at Build() — the seam the fault-
-  /// injection tests use (wrap the InProcessTransport in a
-  /// FaultInjectionTransport). When set, even an N == 1 router routes
-  /// data-plane calls through the transport so single-shard
-  /// configurations are chaos-testable; when unset, N == 1 stays a
-  /// direct zero-copy passthrough.
+  /// Wraps the router's InProcessTransport at Build() — the seam the
+  /// fault-injection tests use (wrap it in a FaultInjectionTransport).
   std::function<std::unique_ptr<ShardTransport>(
       std::unique_ptr<ShardTransport>)>
       transport_decorator;
@@ -130,10 +112,11 @@ struct RouterOptions {
 /// fallback rounds per check from these.
 struct RouterCounters {
   uint64_t checks = 0;
-  /// Checks that needed the cross-shard machinery (not answered by an
-  /// owner grant or an owner-shard local grant).
+  /// Checks that needed the cross-shard machinery (not answered by
+  /// owner access or by an authoritative owner-shard reply).
   uint64_t cross_shard_checks = 0;
-  /// Checks answered by the owner shard's local engine (grant).
+  /// Checks answered by the owner shard's local engine: a grant, or
+  /// any reply while the topology has no cut edges.
   uint64_t local_conclusive = 0;
   /// Cross-shard checks whose phase-one walks exported nothing, so no
   /// frontier exchange ran.
@@ -185,8 +168,8 @@ class ShardRouter {
 
   /// Positional batch. Requests are grouped by resource-owner shard and
   /// decided with one shard-local batch per group; only slots a
-  /// shard-local batch cannot settle authoritatively (non-grants on a
-  /// multi-shard topology) escalate to the per-request cross-shard
+  /// shard-local batch cannot settle authoritatively (non-grants while
+  /// the topology has cut edges) escalate to the per-request cross-shard
   /// procedure.
   std::vector<Result<AccessDecision>> CheckAccessBatch(
       std::span<const AccessRequest> requests) const;
@@ -246,7 +229,7 @@ class ShardRouter {
 
   void PublishTopology(std::shared_ptr<const ShardTopology> topo);
 
-  /// Full multi-shard decision procedure (file comment, steps 1-2),
+  /// Full decision procedure (file comment, steps 1-2),
   /// plus retry / breaker handling. Wrapped by DecideMulti, which
   /// maintains the robustness counters.
   Result<AccessDecision> DecideMultiImpl(const AccessRequest& request) const;
@@ -264,34 +247,13 @@ class ShardRouter {
                             std::span<const wire::FrontierEntry> seeds,
                             CrossStats& stats) const;
 
-  /// One logical transport call split into a scatter half and a gather
-  /// half, so fan-out paths can submit every shard's call before
-  /// waiting on any. BeginCall consults the circuit breaker, builds the
-  /// attempt-0 deadline, and submits; FinishCall waits the ticket and
-  /// runs the bounded retry loop (synchronously, via `call`) with
-  /// jittered exponential backoff on failure. `salt` feeds the jitter
-  /// hash and must be derived from the call's CONTENT (shard, request
-  /// identity), never shared mutable state, so concurrent retries
-  /// jitter deterministically regardless of interleaving.
-  template <typename Reply>
-  struct PendingCall {
-    uint32_t shard = 0;
-    uint64_t salt = 0;
-    uint64_t budget_deadline = 0;
-    /// Set when the call failed before submission (breaker open).
-    std::optional<Status> early;
-    TransportTicket<Reply> ticket;
-  };
-  template <typename Reply, typename SubmitFn>
-  PendingCall<Reply> BeginCall(uint32_t shard, uint64_t salt,
-                               SubmitFn&& submit) const;
-  template <typename Reply, typename Fn>
-  Result<Reply> FinishCall(PendingCall<Reply>& pending, Fn&& call) const;
-
-  /// The serial composition of the two halves: one robust logical
-  /// transport call with per-attempt deadlines, bounded retries, and
-  /// circuit-breaker consultation. `call` runs one attempt given its
-  /// TransportCallOptions.
+  /// One robust logical transport call: per-attempt deadlines, bounded
+  /// retries with jittered exponential backoff, and circuit-breaker
+  /// consultation. `call` runs one attempt given its
+  /// TransportCallOptions. `salt` feeds the jitter hash and must be
+  /// derived from the call's CONTENT (shard, request identity), never
+  /// shared mutable state, so concurrent retries jitter
+  /// deterministically regardless of interleaving.
   template <typename Reply, typename Fn>
   Result<Reply> CallShard(uint32_t shard, uint64_t salt, Fn&& call) const;
 
@@ -303,13 +265,6 @@ class ShardRouter {
   Status AddEdgeImpl(NodeId src, NodeId dst, LabelId label);
   Status RemoveEdgeImpl(NodeId src, NodeId dst, LabelId label);
 
-  /// True when the router serves a single shard directly, bypassing the
-  /// transport (no decorator, no executor).
-  bool DirectSingleShard() const {
-    return shards_.size() == 1 && !options_.transport_decorator &&
-           !options_.threaded_transport;
-  }
-
   SocialGraph* master_graph_;
   const PolicyStore* master_store_;
   RouterOptions options_;
@@ -317,8 +272,7 @@ class ShardRouter {
   GraphPartition partition_;
   std::vector<std::unique_ptr<ShardEngine>> shards_;
   /// Data-plane road to the shards (InProcessTransport, possibly
-  /// decorated). Null until Build(); N == 1 without a decorator
-  /// bypasses it entirely.
+  /// decorated). Null until Build().
   std::unique_ptr<ShardTransport> transport_;
   std::unique_ptr<ShardHealthTracker> health_;
   /// Owner + rule mirror of the master store (resource-id indexed).

@@ -25,8 +25,8 @@
 /// Two construction modes: the multi-shard mode owns its extracted graph
 /// copy and a clone of the master policy store (identical resource/rule
 /// ids — see ClonePolicyStore); the single-shard mode wraps the caller's
-/// graph and store directly, making an N=1 router a true zero-copy
-/// passthrough over one ordinary engine.
+/// graph and store directly, so an N = 1 router serves them without a
+/// copy.
 
 #include <memory>
 #include <mutex>
@@ -64,7 +64,7 @@ class ShardEngine {
               std::unique_ptr<PolicyStore> store,
               const EngineOptions& options);
 
-  /// Single-shard passthrough mode: serves `graph`/`store` in place.
+  /// Single-shard mode: serves `graph`/`store` in place.
   /// Both must outlive the engine.
   ShardEngine(uint32_t id, SocialGraph& graph, const PolicyStore& store,
               const EngineOptions& options);

@@ -231,11 +231,20 @@ void FaultInjectionTransport::MutateBytes(ShardState& st,
   }
 }
 
-template <typename Reply, typename DecodeFn>
-Result<Reply> FaultInjectionTransport::CorruptReply(uint32_t shard,
-                                                    const Reply& reply,
-                                                    DecodeFn decode) {
-  std::vector<uint8_t> bytes = wire::Encode(reply);
+template <typename Reply, typename CallFn, typename DecodeFn>
+Result<Reply> FaultInjectionTransport::Deliver(uint32_t shard,
+                                               const TransportCallOptions& opts,
+                                               CallFn call, DecodeFn decode) {
+  const FaultKind fault = DrawFault(shard);
+  if (fault == FaultKind::kDrop) return DropStatus(shard);
+  if (fault == FaultKind::kErrorReply) return ErrorReplyStatus(shard);
+  SARGUS_RETURN_IF_ERROR(DeadlineStatus(shard, opts));
+  // The deadline was enforced against THIS transport's (virtual) clock;
+  // the inner transport runs a different clock, so `call` passes
+  // kNoInnerDeadline.
+  Result<Reply> reply = call();
+  if (fault != FaultKind::kCorrupt || !reply.ok()) return reply;
+  std::vector<uint8_t> bytes = wire::Encode(*reply);
   ShardState& st = *states_[shard];
   {
     std::lock_guard<std::mutex> lock(st.mu);
@@ -253,98 +262,36 @@ Result<Reply> FaultInjectionTransport::CorruptReply(uint32_t shard,
     std::lock_guard<std::mutex> lock(st.mu);
     ++st.counters.corrupt_survived;
   }
-  return std::move(decoded).ValueOrDie();
+  return decoded;
 }
 
 Result<wire::CheckReply> FaultInjectionTransport::Check(
     uint32_t shard, const wire::CheckRequest& request,
     const TransportCallOptions& opts) {
-  return SubmitCheck(shard, request, opts).Wait();
+  return Deliver<wire::CheckReply>(
+      shard, opts,
+      [&] { return inner_->Check(shard, request, kNoInnerDeadline); },
+      [](std::span<const uint8_t> b) { return wire::DecodeCheckReply(b); });
 }
 
 Result<wire::BatchCheckReply> FaultInjectionTransport::CheckBatch(
     uint32_t shard, const wire::BatchCheckRequest& request,
     const TransportCallOptions& opts) {
-  return SubmitBatch(shard, request, opts).Wait();
+  return Deliver<wire::BatchCheckReply>(
+      shard, opts,
+      [&] { return inner_->CheckBatch(shard, request, kNoInnerDeadline); },
+      [](std::span<const uint8_t> b) {
+        return wire::DecodeBatchCheckReply(b);
+      });
 }
 
 Result<wire::WalkReply> FaultInjectionTransport::ExpandFrontier(
     uint32_t shard, const wire::WalkRequest& request,
     const TransportCallOptions& opts) {
-  return SubmitWalk(shard, request, opts).Wait();
-}
-
-TransportTicket<wire::CheckReply> FaultInjectionTransport::SubmitCheck(
-    uint32_t shard, const wire::CheckRequest& request,
-    const TransportCallOptions& opts) {
-  using Ticket = TransportTicket<wire::CheckReply>;
-  const FaultKind fault = DrawFault(shard);
-  if (fault == FaultKind::kDrop) return Ticket::Ready(DropStatus(shard));
-  if (fault == FaultKind::kErrorReply) {
-    return Ticket::Ready(ErrorReplyStatus(shard));
-  }
-  if (Status s = DeadlineStatus(shard, opts); !s.ok()) {
-    return Ticket::Ready(std::move(s));
-  }
-  // The deadline was already enforced against THIS transport's (virtual)
-  // clock; the inner transport runs a different clock, so the deadline
-  // must not leak through (kNoInnerDeadline below likewise).
-  Ticket inner = inner_->SubmitCheck(shard, request, kNoInnerDeadline);
-  if (fault != FaultKind::kCorrupt) return inner;
-  return std::move(inner).Then(
-      [this, shard](Result<wire::CheckReply> r) -> Result<wire::CheckReply> {
-        if (!r.ok()) return r;
-        return CorruptReply(shard, *r, [](std::span<const uint8_t> b) {
-          return wire::DecodeCheckReply(b);
-        });
-      });
-}
-
-TransportTicket<wire::BatchCheckReply> FaultInjectionTransport::SubmitBatch(
-    uint32_t shard, const wire::BatchCheckRequest& request,
-    const TransportCallOptions& opts) {
-  using Ticket = TransportTicket<wire::BatchCheckReply>;
-  const FaultKind fault = DrawFault(shard);
-  if (fault == FaultKind::kDrop) return Ticket::Ready(DropStatus(shard));
-  if (fault == FaultKind::kErrorReply) {
-    return Ticket::Ready(ErrorReplyStatus(shard));
-  }
-  if (Status s = DeadlineStatus(shard, opts); !s.ok()) {
-    return Ticket::Ready(std::move(s));
-  }
-  Ticket inner = inner_->SubmitBatch(shard, request, kNoInnerDeadline);
-  if (fault != FaultKind::kCorrupt) return inner;
-  return std::move(inner).Then(
-      [this,
-       shard](Result<wire::BatchCheckReply> r) -> Result<wire::BatchCheckReply> {
-        if (!r.ok()) return r;
-        return CorruptReply(shard, *r, [](std::span<const uint8_t> b) {
-          return wire::DecodeBatchCheckReply(b);
-        });
-      });
-}
-
-TransportTicket<wire::WalkReply> FaultInjectionTransport::SubmitWalk(
-    uint32_t shard, const wire::WalkRequest& request,
-    const TransportCallOptions& opts) {
-  using Ticket = TransportTicket<wire::WalkReply>;
-  const FaultKind fault = DrawFault(shard);
-  if (fault == FaultKind::kDrop) return Ticket::Ready(DropStatus(shard));
-  if (fault == FaultKind::kErrorReply) {
-    return Ticket::Ready(ErrorReplyStatus(shard));
-  }
-  if (Status s = DeadlineStatus(shard, opts); !s.ok()) {
-    return Ticket::Ready(std::move(s));
-  }
-  Ticket inner = inner_->SubmitWalk(shard, request, kNoInnerDeadline);
-  if (fault != FaultKind::kCorrupt) return inner;
-  return std::move(inner).Then(
-      [this, shard](Result<wire::WalkReply> r) -> Result<wire::WalkReply> {
-        if (!r.ok()) return r;
-        return CorruptReply(shard, *r, [](std::span<const uint8_t> b) {
-          return wire::DecodeWalkReply(b);
-        });
-      });
+  return Deliver<wire::WalkReply>(
+      shard, opts,
+      [&] { return inner_->ExpandFrontier(shard, request, kNoInnerDeadline); },
+      [](std::span<const uint8_t> b) { return wire::DecodeWalkReply(b); });
 }
 
 Result<wire::MutateReply> FaultInjectionTransport::Mutate(

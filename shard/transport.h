@@ -55,7 +55,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -74,60 +73,6 @@ class ShardEngine;
 /// dispatch and after any injected delay.
 struct TransportCallOptions {
   uint64_t deadline_ms = 0;
-};
-
-/// Handle to one in-flight asynchronous transport call. Wait() is
-/// single-shot and yields exactly what the matching synchronous call
-/// would have returned (including kDeadlineExceeded when the call's
-/// deadline passes while waiting). Tickets from a serial transport are
-/// born ready — the call already ran inline at Submit — so router
-/// scatter-gather code is transport-agnostic: it always submits
-/// everything, then waits in a fixed order.
-template <typename Reply>
-class TransportTicket {
- public:
-  /// An invalid ticket; Wait() on it is a programming error.
-  TransportTicket() = default;
-
-  /// A ticket whose result is already known (serial transports, faults
-  /// decided at submit time).
-  static TransportTicket Ready(Result<Reply> result) {
-    auto held = std::make_shared<Result<Reply>>(std::move(result));
-    TransportTicket t;
-    t.wait_ = [held]() { return std::move(*held); };
-    return t;
-  }
-
-  /// A ticket that blocks in `wait` (e.g. on a future) when collected.
-  static TransportTicket Deferred(std::function<Result<Reply>()> wait) {
-    TransportTicket t;
-    t.wait_ = std::move(wait);
-    return t;
-  }
-
-  /// Chains a post-processing step onto the gathered result (the fault
-  /// decorator corrupts replies here, after the inner transport
-  /// delivers them).
-  TransportTicket Then(
-      std::function<Result<Reply>(Result<Reply>)> post) && {
-    return Deferred(
-        [prev = std::move(wait_), post = std::move(post)]() {
-          return post(prev());
-        });
-  }
-
-  bool valid() const { return static_cast<bool>(wait_); }
-
-  /// Blocks until the reply (or transport error) is available.
-  /// Single-shot: the ticket is invalid afterwards.
-  Result<Reply> Wait() {
-    auto f = std::move(wait_);
-    wait_ = nullptr;
-    return f();
-  }
-
- private:
-  std::function<Result<Reply>()> wait_;
 };
 
 /// The router's only road to a shard's data plane.
@@ -151,36 +96,6 @@ class ShardTransport {
   virtual Result<wire::MutateReply> Mutate(uint32_t shard,
                                            const wire::MutateRequest& request,
                                            const TransportCallOptions& opts) = 0;
-
-  /// Async submission surface, for router scatter-gather. Submit*
-  /// returns a ticket whose Wait() yields exactly what the matching
-  /// synchronous call would have returned. The transport copies the
-  /// request if it needs it past return, so the caller's buffer only
-  /// has to outlive the Submit call itself. The base implementation
-  /// runs the call inline and returns a ready ticket — serial
-  /// transports get the async surface for free; ThreadedTransport
-  /// (shard/executor_transport.h) overrides these to enqueue onto its
-  /// per-shard workers. There is deliberately no SubmitMutate: the
-  /// fail-stop-before-apply mutation contract is only easy to reason
-  /// about when a mutation is never in flight past its caller.
-  virtual TransportTicket<wire::CheckReply> SubmitCheck(
-      uint32_t shard, const wire::CheckRequest& request,
-      const TransportCallOptions& opts) {
-    return TransportTicket<wire::CheckReply>::Ready(
-        Check(shard, request, opts));
-  }
-  virtual TransportTicket<wire::BatchCheckReply> SubmitBatch(
-      uint32_t shard, const wire::BatchCheckRequest& request,
-      const TransportCallOptions& opts) {
-    return TransportTicket<wire::BatchCheckReply>::Ready(
-        CheckBatch(shard, request, opts));
-  }
-  virtual TransportTicket<wire::WalkReply> SubmitWalk(
-      uint32_t shard, const wire::WalkRequest& request,
-      const TransportCallOptions& opts) {
-    return TransportTicket<wire::WalkReply>::Ready(
-        ExpandFrontier(shard, request, opts));
-  }
 
   /// Transport clock, milliseconds. Monotonic; origin unspecified.
   virtual uint64_t NowMs() = 0;
@@ -313,21 +228,6 @@ class FaultInjectionTransport final : public ShardTransport {
                                    const wire::MutateRequest& request,
                                    const TransportCallOptions& opts) override;
 
-  /// Async surface: the fault (and its per-shard call index / rng
-  /// draw) is decided at SUBMIT time on the submitting thread, so a
-  /// single-threaded caller sees the same deterministic fault sequence
-  /// whether the inner transport is serial or threaded. Corrupt faults
-  /// chain onto the inner ticket and mangle the reply at gather time.
-  TransportTicket<wire::CheckReply> SubmitCheck(
-      uint32_t shard, const wire::CheckRequest& request,
-      const TransportCallOptions& opts) override;
-  TransportTicket<wire::BatchCheckReply> SubmitBatch(
-      uint32_t shard, const wire::BatchCheckRequest& request,
-      const TransportCallOptions& opts) override;
-  TransportTicket<wire::WalkReply> SubmitWalk(
-      uint32_t shard, const wire::WalkRequest& request,
-      const TransportCallOptions& opts) override;
-
   /// Virtual clock: starts at a fixed epoch, advances only through
   /// SleepMs and injected delays. Chaos runs are time-deterministic.
   uint64_t NowMs() override {
@@ -357,13 +257,16 @@ class FaultInjectionTransport final : public ShardTransport {
   Status ErrorReplyStatus(uint32_t shard);
   Status DeadlineStatus(uint32_t shard, const TransportCallOptions& opts);
 
-  /// Encode -> flip seeded bytes -> decode. Returns the surviving reply
-  /// (byte-identical or it would not have decoded) or kUnavailable.
-  template <typename Reply, typename DecodeFn>
-  Result<Reply> CorruptReply(uint32_t shard, const Reply& reply,
-                             DecodeFn decode);
+  /// The body of the three read calls: draw this call's fault and fail
+  /// the call with it, or deliver through `call`; on a corrupt fault,
+  /// encode the reply, flip seeded bytes and `decode` it again. Returns
+  /// the reply (byte-identical, or it would not have decoded) or the
+  /// fault's transport error.
+  template <typename Reply, typename CallFn, typename DecodeFn>
+  Result<Reply> Deliver(uint32_t shard, const TransportCallOptions& opts,
+                        CallFn call, DecodeFn decode);
 
-  /// Seeded byte mutation used by CorruptReply (under the shard mutex).
+  /// Seeded byte mutation used by Deliver (under the shard mutex).
   void MutateBytes(ShardState& st, std::vector<uint8_t>& bytes);
 
   std::unique_ptr<ShardTransport> inner_;

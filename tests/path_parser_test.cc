@@ -1,10 +1,26 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <iterator>
+#include <string>
+
+#include "common/rng.h"
 #include "core/path_parser.h"
 #include "tests/test_util.h"
 
 namespace sargus {
 namespace {
+
+// One expression per grammar feature: multi-step paths, ranges, inverse
+// steps, filters with several conditions, the hop cap.
+constexpr const char* kCanonicalCases[] = {
+    "friend[1]",
+    "friend[1,2]/colleague[1]",
+    "friend-[1,2]",
+    "friend[1]{age>=18}",
+    "friend[2,4]/colleague-[1,3]{age>=18,trust<50}/family[1]",
+    "l5[1,64]",
+};
 
 TEST(PathParser, SingleStepShorthand) {
   auto e = ParsePathExpression("friend[1]");
@@ -66,15 +82,7 @@ TEST(PathParser, WhitespaceTolerated) {
 }
 
 TEST(PathParser, CanonicalRoundTrip) {
-  const char* cases[] = {
-      "friend[1]",
-      "friend[1,2]/colleague[1]",
-      "friend-[1,2]",
-      "friend[1]{age>=18}",
-      "friend[2,4]/colleague-[1,3]{age>=18,trust<50}/family[1]",
-      "l5[1,64]",
-  };
-  for (const char* text : cases) {
+  for (const char* text : kCanonicalCases) {
     auto e1 = ParsePathExpression(text);
     ASSERT_TRUE(e1.ok()) << text << ": " << e1.status().ToString();
     const std::string canon = e1->ToString();
@@ -120,6 +128,68 @@ TEST(PathParser, RejectsMalformedWithInvalidArgument) {
           << text << " -> " << e.status().ToString();
     }
   }
+}
+
+TEST(PathParser, MutationFuzz20k) {
+  // Seeded flips, inserts, deletes and truncations of the canonical
+  // expressions. Every input is either accepted or rejected with
+  // kInvalidArgument, and every accepted expression round-trips through
+  // its canonical text to an equal AST.
+  constexpr char kAlphabet[] = "[]{},/-<>=!0123456789az_ \t";
+  Rng rng(0x9A25E);
+  int accepted = 0;
+  int rejected = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    std::string text =
+        kCanonicalCases[rng.NextBounded(std::size(kCanonicalCases))];
+    const uint64_t mutations = 1 + rng.NextBounded(4);
+    for (uint64_t m = 0; m < mutations; ++m) {
+      // Mostly grammar characters, so mutants get past the first token;
+      // sometimes an arbitrary byte.
+      const char c = rng.NextBool(0.9)
+                         ? kAlphabet[rng.NextBounded(sizeof(kAlphabet) - 1)]
+                         : static_cast<char>(rng.NextU64());
+      switch (rng.NextBounded(4)) {
+        case 0:  // flip one bit
+          if (!text.empty()) {
+            text[rng.NextBounded(text.size())] ^=
+                static_cast<char>(1u << rng.NextBounded(8));
+          }
+          break;
+        case 1:  // insert one character
+          text.insert(text.begin() +
+                          static_cast<ptrdiff_t>(
+                              rng.NextBounded(text.size() + 1)),
+                      c);
+          break;
+        case 2:  // delete one character
+          if (!text.empty()) {
+            text.erase(static_cast<size_t>(rng.NextBounded(text.size())), 1);
+          }
+          break;
+        default:  // truncate
+          text.resize(rng.NextBounded(text.size() + 1));
+          break;
+      }
+    }
+    auto e = ParsePathExpression(text);
+    if (!e.ok()) {
+      ++rejected;
+      EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument)
+          << "'" << text << "' -> " << e.status().ToString();
+      continue;
+    }
+    ++accepted;
+    const std::string canon = e->ToString();
+    auto again = ParsePathExpression(canon);
+    ASSERT_TRUE(again.ok()) << "'" << text << "' -> '" << canon
+                            << "': " << again.status().ToString();
+    EXPECT_EQ(*e, *again) << "'" << text << "' -> '" << canon << "'";
+  }
+  // Both outcomes occurred: the mutants were neither all trivially
+  // broken nor all harmless.
+  EXPECT_GT(accepted, 1000);
+  EXPECT_GT(rejected, 1000);
 }
 
 TEST(PathParser, RejectsOutOfRangeFilterLiterals) {

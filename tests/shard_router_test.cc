@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -12,7 +11,6 @@
 
 #include "common/rng.h"
 #include "engine/access_engine.h"
-#include "shard/executor_transport.h"
 #include "shard/partitioner.h"
 #include "shard/router.h"
 #include "shard/wire.h"
@@ -351,7 +349,7 @@ TEST(Wire, ParseMessageFuzz10k) {
   EXPECT_LT(accepted, 500);
 }
 
-// ---- Router: single-shard passthrough -------------------------------------
+// ---- Router: one shard ----------------------------------------------------
 
 TEST(ShardRouter, SingleShardPassthroughStamps) {
   SocialGraph g = MakeDiamond();
@@ -363,19 +361,25 @@ TEST(ShardRouter, SingleShardPassthroughStamps) {
   ASSERT_TRUE(router.Build().ok());
   ASSERT_EQ(router.num_shards(), 1u);
 
-  // The passthrough serves the SAME engine the shard wraps: decisions
-  // carry that engine's own view stamps, byte-identical to calling it
-  // directly — no router-level stamp rewriting.
+  // One shard wraps the caller's graph in place and the topology has no
+  // cut edges, so the owner shard's reply is authoritative: decisions
+  // come through the transport as "shard-local" answers, and the router
+  // stamp (the sum over one shard) is the wrapped engine's own stamp.
+  auto expect_same = [&](const Result<AccessDecision>& routed,
+                         const Result<AccessDecision>& direct,
+                         const std::string& where) {
+    ASSERT_TRUE(routed.ok()) << where << " " << routed.status().ToString();
+    ASSERT_TRUE(direct.ok()) << where;
+    EXPECT_EQ(routed->granted, direct->granted) << where;
+    EXPECT_EQ(routed->snapshot_generation, direct->snapshot_generation)
+        << where;
+    EXPECT_EQ(routed->overlay_version, direct->overlay_version) << where;
+    EXPECT_EQ(routed->evaluator_name, "shard-local") << where;
+  };
   const AccessRequest req{.requester = 3, .resource = photo};
-  auto direct = router.shard(0).engine().CheckAccess(req);
-  auto routed = router.CheckAccess(req);
-  ASSERT_TRUE(direct.ok());
-  ASSERT_TRUE(routed.ok());
-  EXPECT_TRUE(routed->granted);
-  EXPECT_EQ(routed->granted, direct->granted);
-  EXPECT_EQ(routed->snapshot_generation, direct->snapshot_generation);
-  EXPECT_EQ(routed->overlay_version, direct->overlay_version);
-  EXPECT_EQ(routed->evaluator_name, direct->evaluator_name);
+  const auto routed = router.CheckAccess(req);
+  expect_same(routed, router.shard(0).engine().CheckAccess(req), "single");
+  EXPECT_TRUE(routed.ok() && routed->granted);
 
   const std::vector<AccessRequest> batch{req, {.requester = 2,
                                                .resource = photo}};
@@ -383,24 +387,30 @@ TEST(ShardRouter, SingleShardPassthroughStamps) {
   auto routed_batch = router.CheckAccessBatch(batch);
   ASSERT_EQ(routed_batch.size(), 2u);
   for (size_t i = 0; i < 2; ++i) {
-    ASSERT_TRUE(routed_batch[i].ok());
-    ASSERT_TRUE(direct_batch[i].ok());
-    EXPECT_EQ(routed_batch[i]->granted, direct_batch[i]->granted);
-    EXPECT_EQ(routed_batch[i]->snapshot_generation,
-              direct_batch[i]->snapshot_generation);
-    EXPECT_EQ(routed_batch[i]->overlay_version,
-              direct_batch[i]->overlay_version);
+    expect_same(routed_batch[i], direct_batch[i],
+                "batch slot " + std::to_string(i));
   }
 
-  // Mutations pass straight through too.
+  // Mutations go through the transport to the same engine, and the
+  // next decision carries the stamp they landed in.
   ASSERT_TRUE(router.AddEdge(3, 0, "friend").ok());
-  auto now_granted = router.CheckAccess({.requester = 3, .resource = photo});
-  ASSERT_TRUE(now_granted.ok());
-  EXPECT_TRUE(now_granted->granted);
+  const AccessRequest after{.requester = 3, .resource = photo};
+  const auto now_granted = router.CheckAccess(after);
+  expect_same(now_granted, router.shard(0).engine().CheckAccess(after),
+              "after AddEdge");
+  EXPECT_TRUE(now_granted.ok() && now_granted->granted);
+  ASSERT_TRUE(router.RemoveEdge(3, 0, "friend").ok());
+  expect_same(router.CheckAccess(after),
+              router.shard(0).engine().CheckAccess(after), "after RemoveEdge");
   auto added = router.AddNode();
   ASSERT_TRUE(added.ok());
   EXPECT_EQ(*added, 6u);
   EXPECT_EQ(router.topology()->shard_of.size(), 7u);
+  expect_same(router.CheckAccess({.requester = *added, .resource = photo}),
+              router.shard(0).engine().CheckAccess(
+                  {.requester = *added, .resource = photo}),
+              "after AddNode");
+  EXPECT_EQ(router.counters().cross_shard_checks, 0u);
 }
 
 // ---- Router: oracle agreement ---------------------------------------------
@@ -677,6 +687,92 @@ void RunInterleavedWrites(uint32_t num_shards) {
 
 TEST(ShardRouterOracle, InterleavedWritesAgreeWithoutRefresh) {
   for (uint32_t shards : {2u, 4u, 7u}) RunInterleavedWrites(shards);
+}
+
+// With no edge leaving any shard, no walk can leave the owner's shard,
+// so the owner shard's deny is the global deny: nothing runs the
+// cross-shard machinery. The rule follows the data — one cut edge turns
+// it off for the very next check, and removing it turns it back on.
+TEST(ShardRouterOracle, CutFreeTopologyDeniesWithoutCrossShardWork) {
+  constexpr uint32_t kShards = 4;
+  SocialGraph g;
+  g.AddNodes(40);  // contiguous: nodes [10s, 10s+9] land on shard s
+  PolicyStore store;
+  std::vector<ResourceId> res;
+  for (uint32_t s = 0; s < kShards; ++s) {
+    const NodeId owner = static_cast<NodeId>(10 * s);
+    ASSERT_TRUE(g.AddEdge(owner, owner + 1, "friend").ok());
+    ASSERT_TRUE(g.AddEdge(owner + 1, owner + 2, "friend").ok());
+    ASSERT_TRUE(g.AddEdge(owner + 3, owner, "colleague").ok());
+    const ResourceId r =
+        store.RegisterResource(owner, "res" + std::to_string(s));
+    ASSERT_TRUE(store.AddRuleFromPaths(r, {"friend[1,2]"}).ok());
+    ASSERT_TRUE(store.AddRuleFromPaths(r, {"colleague-[1]"}).ok());
+    res.push_back(r);
+  }
+  SocialGraph oracle_graph = g;
+  RouterOptions opts;
+  opts.partition.num_shards = kShards;
+  opts.partition.strategy = PartitionStrategy::kContiguous;
+  ShardRouter router(g, store, opts);
+  ASSERT_TRUE(router.Build().ok());
+  ASSERT_TRUE(router.topology()->cut_out.empty());
+  AccessControlEngine oracle(oracle_graph, store);
+  ASSERT_TRUE(oracle.RebuildIndexes().ok());
+
+  // Every (requester, resource) pair, singly and as one batch.
+  std::vector<AccessRequest> all;
+  for (NodeId v = 0; v < 40; ++v) {
+    for (const ResourceId r : res) all.push_back({.requester = v, .resource = r});
+  }
+  uint64_t denies = 0;
+  const auto batch = router.CheckAccessBatch(all);
+  ASSERT_EQ(batch.size(), all.size());
+  for (size_t i = 0; i < all.size(); ++i) {
+    const auto want = oracle.CheckAccess(all[i]);
+    const std::string ctx = "requester=" + std::to_string(all[i].requester) +
+                            " resource=" + std::to_string(all[i].resource);
+    ExpectAgrees(router.CheckAccess(all[i]), want, ctx);
+    ExpectAgrees(batch[i], want, ctx + " (batch)");
+    if (want.ok() && !want->granted) ++denies;
+  }
+  EXPECT_GT(denies, all.size() / 2);
+  RouterCounters c = router.counters();
+  EXPECT_EQ(c.cross_shard_checks, 0u);
+  EXPECT_EQ(c.fallback_walks, 0u);
+
+  // Cut edge 0 -> 10 (shard 0 -> shard 1): requester 11 is two friend
+  // hops from res0's owner, 0 -> 10 -> 11, and shard 0 holds only the
+  // first of them.
+  const AccessRequest across{.requester = 11, .resource = res[0]};
+  const auto before = router.CheckAccess(across);
+  ASSERT_TRUE(before.ok());
+  EXPECT_FALSE(before->granted);
+  ASSERT_TRUE(router.AddEdge(0, 10, "friend").ok());
+  ASSERT_TRUE(oracle.AddEdge(0, 10, "friend").ok());
+  ASSERT_FALSE(router.topology()->cut_out.empty());
+  const auto granted = router.CheckAccess(across);
+  ASSERT_TRUE(granted.ok()) << granted.status().ToString();
+  EXPECT_TRUE(granted->granted);
+  EXPECT_EQ(granted->evaluator_name, "shard-frontier");
+  const auto granted_batch = router.CheckAccessBatch(std::vector{across});
+  ASSERT_EQ(granted_batch.size(), 1u);
+  ExpectAgrees(granted_batch[0], oracle.CheckAccess(across), "across (batch)");
+  c = router.counters();
+  EXPECT_EQ(c.cross_fallback_walks, 2u);
+
+  // Removing it restores the cut-free topology: the deny comes straight
+  // from the owner shard again, with no further fallback.
+  ASSERT_TRUE(router.RemoveEdge(0, 10, "friend").ok());
+  ASSERT_TRUE(oracle.RemoveEdge(0, 10, "friend").ok());
+  ASSERT_TRUE(router.topology()->cut_out.empty());
+  const uint64_t walks = router.counters().fallback_walks;
+  const auto denied = router.CheckAccess(across);
+  ExpectAgrees(denied, oracle.CheckAccess(across), "after removal");
+  EXPECT_FALSE(denied.ok() && denied->granted);
+  c = router.counters();
+  EXPECT_EQ(c.fallback_walks, walks);
+  EXPECT_EQ(c.cross_shard_checks, 2u);
 }
 
 // ---- Router: forced fallback + counters -----------------------------------
@@ -1098,112 +1194,12 @@ TEST(ShardTransport, RouterRetriesTransientFaults) {
   EXPECT_EQ(c.unavailable_errors, 3u);
 }
 
-// ---- Threaded executor transport: direct unit coverage ---------------------
-
-TEST(ShardTransport, ThreadedExecutorMatchesSyncAndCountsQueue) {
-  auto g = SmallEr(31);
-  ASSERT_TRUE(g.ok());
-  Workload w = MakeWorkload(std::move(*g));
-  RouterOptions opts;
-  opts.partition.num_shards = 2;
-  ShardRouter router(w.graph, w.store, opts);
-  ASSERT_TRUE(router.Build().ok());
-
-  ThreadedTransport transport({&router.shard(0), &router.shard(1)});
-  ASSERT_EQ(transport.num_shards(), 2u);
-
-  // Sync calls through the executor return exactly what the engine
-  // returns directly.
-  const wire::CheckRequest req =
-      ToWire(AccessRequest{.requester = 9, .resource = w.resources[0]});
-  for (uint32_t s = 0; s < 2; ++s) {
-    const wire::CheckReply direct = router.shard(s).Check(req);
-    auto through = transport.Check(s, req, {});
-    ASSERT_TRUE(through.ok()) << through.status().ToString();
-    EXPECT_EQ(*through, direct);
-  }
-
-  // The async surface: scatter one ticket per shard, then gather — the
-  // replies are the same ones the sync path produces.
-  wire::BatchCheckRequest breq;
-  for (int i = 0; i < 5; ++i) {
-    breq.requests.push_back(ToWire(AccessRequest{
-        .requester = static_cast<NodeId>(i),
-        .resource = w.resources[static_cast<size_t>(i) % w.resources.size()]}));
-  }
-  auto t0 = transport.SubmitBatch(0, breq, {});
-  auto t1 = transport.SubmitBatch(1, breq, {});
-  ASSERT_TRUE(t0.valid());
-  ASSERT_TRUE(t1.valid());
-  auto r0 = t0.Wait();
-  auto r1 = t1.Wait();
-  ASSERT_TRUE(r0.ok());
-  ASSERT_TRUE(r1.ok());
-  EXPECT_EQ(*r0, router.shard(0).CheckBatch(breq));
-  EXPECT_EQ(*r1, router.shard(1).CheckBatch(breq));
-
-  // A deadline already in the past never reaches the engine: the job is
-  // refused worker-side (or submit-side) as an explicit timeout.
-  TransportCallOptions past;
-  past.deadline_ms = 1;
-  EXPECT_EQ(transport.Check(0, req, past).status().code(),
-            StatusCode::kDeadlineExceeded);
-
-  // Queue accounting: everything submitted was either executed or
-  // cancelled, and the past-deadline call shows up as a cancellation.
-  // The caller-side timeout returns before the worker books the drop,
-  // so give the queue a moment to drain.
-  ThreadedTransport::QueueStats stats = transport.queue_stats(0);
-  for (int spin = 0;
-       spin < 2000 && stats.submitted != stats.executed + stats.cancelled;
-       ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    stats = transport.queue_stats(0);
-  }
-  EXPECT_GT(stats.submitted, 0u);
-  EXPECT_GT(stats.executed, 0u);
-  EXPECT_GE(stats.cancelled, 1u);
-  EXPECT_EQ(stats.submitted, stats.executed + stats.cancelled);
-  EXPECT_EQ(stats.rejected, 0u);
-}
-
-TEST(ShardTransport, ThreadedExecutorMutateIsFailStop) {
-  ChainFixture f = MakeChain();
-  RouterOptions opts;
-  opts.partition.num_shards = 2;
-  opts.partition.strategy = PartitionStrategy::kContiguous;
-  ShardRouter router(f.graph, f.store, opts);
-  ASSERT_TRUE(router.Build().ok());
-
-  ThreadedTransport transport({&router.shard(0), &router.shard(1)});
-  const wire::Stamp before = router.shard(0).ViewStamp();
-
-  // A mutation whose deadline has already passed is refused BEFORE the
-  // engine call — the shard's published state must not move.
-  wire::MutateRequest mreq;
-  mreq.op = wire::MutateOp::kAddEdge;
-  mreq.src = 1;
-  mreq.dst = 2;
-  mreq.label_name = "friend";
-  TransportCallOptions past;
-  past.deadline_ms = 1;
-  EXPECT_EQ(transport.Mutate(0, mreq, past).status().code(),
-            StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(router.shard(0).ViewStamp(), before);
-
-  // Without a deadline the same mutation applies and the stamp moves.
-  auto ok = transport.Mutate(0, mreq, {});
-  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_EQ(ok->status_code, 0);
-  EXPECT_NE(router.shard(0).ViewStamp(), before);
-}
-
 // ---- Backoff jitter: a pure function of call content -----------------------
 
 TEST(ShardTransport, BackoffJitterIgnoresUnrelatedTraffic) {
   // The retry backoff jitter must be derived from the call's CONTENT
   // (shard, request identity, attempt) — never from a router-wide draw
-  // counter — or concurrent fan-out would reshuffle every later draw
+  // counter — or concurrent callers would reshuffle every later draw
   // and identical runs would sleep differently. Observable form: the
   // virtual-clock cost of absorbing the same two-drop storm for the
   // same request is identical no matter how much unrelated traffic ran
@@ -1254,71 +1250,32 @@ TEST(ShardTransport, BackoffJitterIgnoresUnrelatedTraffic) {
   EXPECT_EQ(run(23), quiet);
 }
 
-// ---- Parallel fan-out: serial-vs-threaded agreement wall -------------------
+// ---- Agreement wall: singles and batches through mutations ----------------
 
-// Byte-level agreement between the serial (InProcessTransport) and the
-// threaded (ThreadedTransport) router: not just the verdict but every
-// field a caller can see — stamps, witness, matched rule, evaluator,
-// work counters. Both routers run the identical scatter-gather code
-// over the identical call sets, so anything short of byte-identity is
-// a concurrency bug.
-void ExpectIdenticalDecision(const Result<AccessDecision>& threaded,
-                             const Result<AccessDecision>& serial,
-                             const std::string& context) {
-  ASSERT_EQ(threaded.ok(), serial.ok())
-      << context << " threaded=" << threaded.status().ToString()
-      << " serial=" << serial.status().ToString();
-  if (!threaded.ok()) {
-    EXPECT_EQ(threaded.status().code(), serial.status().code()) << context;
-    return;
-  }
-  EXPECT_EQ(threaded->granted, serial->granted) << context;
-  EXPECT_EQ(threaded->owner_access, serial->owner_access) << context;
-  EXPECT_EQ(threaded->matched_rule, serial->matched_rule) << context;
-  EXPECT_EQ(threaded->witness, serial->witness) << context;
-  EXPECT_EQ(threaded->evaluator_name, serial->evaluator_name) << context;
-  EXPECT_EQ(threaded->snapshot_generation, serial->snapshot_generation)
-      << context;
-  EXPECT_EQ(threaded->overlay_version, serial->overlay_version) << context;
-  EXPECT_EQ(threaded->stats.pairs_visited, serial->stats.pairs_visited)
-      << context;
-}
-
+// Singles and batches, some asking for witnesses, before and after
+// mid-stream cut-edge mutations, all against a single-engine oracle.
 void RunParallelAgreement(Result<SocialGraph> generated,
                           PartitionStrategy strategy, uint32_t num_shards,
                           const std::string& tag) {
   ASSERT_TRUE(generated.ok());
   Workload w = MakeWorkload(std::move(*generated));
-  SocialGraph threaded_graph = w.graph;  // copies before partitioning
-  SocialGraph oracle_graph = w.graph;
+  SocialGraph oracle_graph = w.graph;  // copy before partitioning
 
-  RouterOptions base;
-  base.partition.num_shards = num_shards;
-  base.partition.strategy = strategy;
+  RouterOptions opts;
+  opts.partition.num_shards = num_shards;
+  opts.partition.strategy = strategy;
   // No per-attempt deadlines: a loaded CI box must not turn a slow
-  // scheduler tick into a spurious timeout on either side.
-  base.robustness.call_deadline_ms = 0;
-  base.robustness.op_budget_ms = 0;
-
-  RouterOptions serial_opts = base;
-  // Identity decorator: routes even an N == 1 serial router through the
-  // transport, mirroring how threaded_transport disables passthrough —
-  // the two sides must take the same code path everywhere.
-  serial_opts.transport_decorator =
-      [](std::unique_ptr<ShardTransport> inner)
-      -> std::unique_ptr<ShardTransport> { return inner; };
-  RouterOptions threaded_opts = base;
-  threaded_opts.threaded_transport = true;
-
-  ShardRouter serial_router(w.graph, w.store, serial_opts);
-  ASSERT_TRUE(serial_router.Build().ok()) << tag;
-  ShardRouter threaded_router(threaded_graph, w.store, threaded_opts);
-  ASSERT_TRUE(threaded_router.Build().ok()) << tag;
+  // scheduler tick into a spurious timeout.
+  opts.robustness.call_deadline_ms = 0;
+  opts.robustness.op_budget_ms = 0;
+  ShardRouter router(w.graph, w.store, opts);
+  ASSERT_TRUE(router.Build().ok()) << tag;
   AccessControlEngine oracle(oracle_graph, w.store);
   ASSERT_TRUE(oracle.RebuildIndexes().ok());
 
   const size_t n = oracle_graph.NumNodes();
   Rng rng(0xFA40 ^ num_shards);
+  uint64_t issued = 0;
   auto compare_singles = [&](int rounds, const std::string& phase) {
     for (int i = 0; i < rounds; ++i) {
       AccessRequest req;
@@ -1329,9 +1286,9 @@ void RunParallelAgreement(Result<SocialGraph> generated,
                               std::to_string(i) +
                               " requester=" + std::to_string(req.requester) +
                               " resource=" + std::to_string(req.resource);
-      const auto t = threaded_router.CheckAccess(req);
-      ExpectIdenticalDecision(t, serial_router.CheckAccess(req), ctx);
-      ExpectAgrees(t, oracle.CheckAccess(req), ctx + " (oracle)");
+      ExpectAgrees(router.CheckAccess(req), oracle.CheckAccess(req),
+                   ctx + " (oracle)");
+      ++issued;
     }
   };
   auto compare_batch = [&](const std::string& phase) {
@@ -1342,33 +1299,29 @@ void RunParallelAgreement(Result<SocialGraph> generated,
            .resource = w.resources[rng.NextBounded(w.resources.size())],
            .want_witness = (i % 4 == 0)});
     }
-    const auto threaded = threaded_router.CheckAccessBatch(batch);
-    const auto serial = serial_router.CheckAccessBatch(batch);
-    ASSERT_EQ(threaded.size(), batch.size()) << tag;
-    ASSERT_EQ(serial.size(), batch.size()) << tag;
+    const auto routed = router.CheckAccessBatch(batch);
+    ASSERT_EQ(routed.size(), batch.size()) << tag;
     for (size_t i = 0; i < batch.size(); ++i) {
-      const std::string ctx =
-          tag + "/" + phase + " batch slot " + std::to_string(i);
-      ExpectIdenticalDecision(threaded[i], serial[i], ctx);
-      ExpectAgrees(threaded[i], oracle.CheckAccess(batch[i]),
-                   ctx + " (oracle)");
+      ExpectAgrees(routed[i], oracle.CheckAccess(batch[i]),
+                   tag + "/" + phase + " batch slot " + std::to_string(i) +
+                       " (oracle)");
     }
+    issued += batch.size();
   };
 
   compare_singles(90, "initial");
   compare_batch("initial");
 
-  // Mid-stream mutations, preferring cross-cut edges, mirrored into all
-  // three: the stamps keep moving in lockstep.
-  const auto topo = serial_router.topology();
+  // Mid-stream mutations, preferring cross-cut edges, mirrored into the
+  // oracle.
+  const auto topo = router.topology();
   std::vector<std::pair<NodeId, NodeId>> added;
   for (int t = 0; t < 400 && added.size() < 6; ++t) {
     const NodeId a = static_cast<NodeId>(rng.NextBounded(n));
     const NodeId b = static_cast<NodeId>(rng.NextBounded(n));
     if (a == b) continue;
     if (num_shards > 1 && topo->shard_of[a] == topo->shard_of[b]) continue;
-    ASSERT_TRUE(serial_router.AddEdge(a, b, "friend").ok()) << tag;
-    ASSERT_TRUE(threaded_router.AddEdge(a, b, "friend").ok()) << tag;
+    ASSERT_TRUE(router.AddEdge(a, b, "friend").ok()) << tag;
     ASSERT_TRUE(oracle.AddEdge(a, b, "friend").ok());
     added.push_back({a, b});
   }
@@ -1378,12 +1331,7 @@ void RunParallelAgreement(Result<SocialGraph> generated,
 
   for (size_t i = 0; i < added.size(); i += 2) {
     ASSERT_TRUE(
-        serial_router.RemoveEdge(added[i].first, added[i].second, "friend")
-            .ok())
-        << tag;
-    ASSERT_TRUE(
-        threaded_router.RemoveEdge(added[i].first, added[i].second, "friend")
-            .ok())
+        router.RemoveEdge(added[i].first, added[i].second, "friend").ok())
         << tag;
     ASSERT_TRUE(
         oracle.RemoveEdge(added[i].first, added[i].second, "friend").ok());
@@ -1391,18 +1339,11 @@ void RunParallelAgreement(Result<SocialGraph> generated,
   compare_singles(60, "after-remove");
   compare_batch("after-remove");
 
-  // The routers agree they did the same amount of work, not just that
-  // they reached the same verdicts.
-  const RouterCounters sc = serial_router.counters();
-  const RouterCounters tc = threaded_router.counters();
-  EXPECT_EQ(tc.checks, sc.checks) << tag;
-  EXPECT_EQ(tc.cross_shard_checks, sc.cross_shard_checks) << tag;
-  EXPECT_EQ(tc.local_conclusive, sc.local_conclusive) << tag;
-  EXPECT_EQ(tc.phase_one_resolved, sc.phase_one_resolved) << tag;
-  EXPECT_EQ(tc.fallback_walks, sc.fallback_walks) << tag;
-  EXPECT_EQ(tc.fallback_rounds, sc.fallback_rounds) << tag;
-  EXPECT_EQ(tc.retries, sc.retries) << tag;
-  EXPECT_EQ(tc.unavailable_errors, sc.unavailable_errors) << tag;
+  // Fault-free: every check was counted, none retried or refused.
+  const RouterCounters c = router.counters();
+  EXPECT_EQ(c.checks, issued) << tag;
+  EXPECT_EQ(c.retries, 0u) << tag;
+  EXPECT_EQ(c.unavailable_errors, 0u) << tag;
 }
 
 TEST(ShardParallelAgreement, ErdosRenyiContiguous) {
@@ -1427,46 +1368,38 @@ TEST(ShardParallelAgreement, WattsStrogatzCommunity) {
 }
 
 TEST(ShardParallelAgreement, NoSummariesForcesParallelFallbackRounds) {
-  // Every cross-shard path that outlives phase one takes frontier
-  // exchange, whose rounds scatter all shards in parallel — the hardest
-  // surface to keep byte-identical.
-  auto run = [](bool threaded) {
-    auto g = SmallBa(99);
-    EXPECT_TRUE(g.ok());
-    auto w = std::make_unique<Workload>(MakeWorkload(std::move(*g)));
-    RouterOptions opts;
-    opts.partition.num_shards = 4;
-    opts.partition.strategy = PartitionStrategy::kCommunity;
-    opts.robustness.call_deadline_ms = 0;
-    opts.robustness.op_budget_ms = 0;
-    opts.threaded_transport = threaded;
-    if (!threaded) {
-      opts.transport_decorator =
-          [](std::unique_ptr<ShardTransport> inner)
-          -> std::unique_ptr<ShardTransport> { return inner; };
-    }
-    auto router = std::make_unique<ShardRouter>(w->graph, w->store, opts);
-    EXPECT_TRUE(router->Build().ok());
-    return std::make_pair(std::move(w), std::move(router));
-  };
-  auto [sw, serial] = run(false);
-  auto [tw, threaded] = run(true);
+  // The batch path on a community cut: every slot a shard-local
+  // sub-batch cannot settle escalates, and every cross-shard path that
+  // outlives phase one runs frontier-exchange rounds across the shards.
+  auto g = SmallBa(99);
+  ASSERT_TRUE(g.ok());
+  Workload w = MakeWorkload(std::move(*g));
+  SocialGraph oracle_graph = w.graph;
+  RouterOptions opts;
+  opts.partition.num_shards = 4;
+  opts.partition.strategy = PartitionStrategy::kCommunity;
+  opts.robustness.call_deadline_ms = 0;
+  opts.robustness.op_budget_ms = 0;
+  ShardRouter router(w.graph, w.store, opts);
+  ASSERT_TRUE(router.Build().ok());
+  AccessControlEngine oracle(oracle_graph, w.store);
+  ASSERT_TRUE(oracle.RebuildIndexes().ok());
 
   Rng rng(5);
-  const size_t n = sw->graph.NumNodes();
+  const size_t n = oracle_graph.NumNodes();
+  std::vector<AccessRequest> batch;
   for (int i = 0; i < 150; ++i) {
-    AccessRequest req;
-    req.requester = static_cast<NodeId>(rng.NextBounded(n));
-    req.resource = sw->resources[rng.NextBounded(sw->resources.size())];
-    ExpectIdenticalDecision(threaded->CheckAccess(req),
-                            serial->CheckAccess(req),
-                            "community slot " + std::to_string(i));
+    batch.push_back(
+        {.requester = static_cast<NodeId>(rng.NextBounded(n)),
+         .resource = w.resources[rng.NextBounded(w.resources.size())]});
   }
-  const RouterCounters sc = serial->counters();
-  const RouterCounters tc = threaded->counters();
-  EXPECT_GT(tc.fallback_walks, 0u);
-  EXPECT_EQ(tc.fallback_walks, sc.fallback_walks);
-  EXPECT_EQ(tc.fallback_rounds, sc.fallback_rounds);
+  const auto routed = router.CheckAccessBatch(batch);
+  ASSERT_EQ(routed.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ExpectAgrees(routed[i], oracle.CheckAccess(batch[i]),
+                 "community slot " + std::to_string(i));
+  }
+  EXPECT_GT(router.counters().fallback_walks, 0u);
 }
 
 }  // namespace
