@@ -16,9 +16,7 @@
 ///  * the compaction-latency series (BM_CompactStallBackground): the
 ///    writer-observed Compact() stall of the double-buffered pipeline
 ///    (an O(overlay) freeze — flat in |V|; the retired blocking mode's
-///    linear-in-|V| stall is a recorded number in docs/ARCHITECTURE.md),
-///    plus incremental-vs-full index maintenance on small
-///    insertion-only overlays (BM_CompactIncrementalVsFull).
+///    linear-in-|V| stall is a recorded number in docs/ARCHITECTURE.md).
 
 #include <benchmark/benchmark.h>
 
@@ -317,8 +315,6 @@ void BM_CompactStallBackground(benchmark::State& state) {
     state.ResumeTiming();
   }
   state.counters["nodes"] = static_cast<double>(n);
-  state.counters["incremental"] =
-      static_cast<double>(engine.incremental_compactions());
 }
 BENCHMARK(BM_CompactStallBackground)
     ->Arg(1024)
@@ -326,58 +322,6 @@ BENCHMARK(BM_CompactStallBackground)
     ->Arg(16384)
     ->Arg(65536)
     ->Unit(benchmark::kMicrosecond);
-
-/// Full compaction wall time (Compact() + WaitForCompaction(), so the
-/// timer sees the whole build) with the incremental index patch on vs
-/// off, on an insertion-only overlay well under the 5%-of-|E| gate. Run
-/// under kAuto so the join stack — the part the patch actually skips
-/// (Tarjan + condensation + label sweep) — is in play. The staged
-/// insertions hang off a fresh node so the patch is always applicable
-/// (no cycle fallback).
-void BM_CompactIncrementalVsFull(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const bool incremental = state.range(1) != 0;
-  SocialGraph g = MakeGraph(GraphKind::kBarabasiAlbert, n, 3, 42);
-  PolicyStore store;
-  const ResourceId res = store.RegisterResource(/*owner=*/0, "doc");
-  (void)store.AddRuleFromPaths(res, {kQ1}).ValueOrDie();
-  AccessControlEngine engine(
-      g, store,
-      {.evaluator = EvaluatorChoice::kAuto,
-       .compact_threshold = 0,
-       .incremental_max_fraction = incremental ? 0.05 : 0.0});
-  if (auto st = engine.RebuildIndexes(); !st.ok()) {
-    state.SkipWithError(st.ToString().c_str());
-    return;
-  }
-  const LabelId friend_label = g.labels().Lookup("friend");
-  Rng rng(29);
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto id = engine.AddNode();
-    for (int i = 0; i < 32; ++i) {
-      (void)engine.AddEdge(*id, static_cast<NodeId>(rng.NextBounded(n)),
-                           friend_label);
-    }
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(engine.Compact().ok());
-    engine.WaitForCompaction();
-  }
-  state.counters["nodes"] = static_cast<double>(n);
-  state.counters["incremental_compactions"] =
-      static_cast<double>(engine.incremental_compactions());
-  state.counters["full_compactions"] =
-      static_cast<double>(engine.full_compactions());
-  state.SetLabel(incremental ? "incremental index maintenance"
-                             : "full rebuild");
-}
-BENCHMARK(BM_CompactIncrementalVsFull)
-    ->Args({4096, 0})
-    ->Args({4096, 1})
-    ->Args({16384, 0})
-    ->Args({16384, 1})
-    ->UseRealTime()  // the build runs on the compaction thread
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace bench

@@ -483,21 +483,6 @@ void AccessControlEngine::FinishMutation() {
 
 // ---- Compaction -------------------------------------------------------------
 
-Result<std::shared_ptr<const SnapshotIndexes>>
-AccessControlEngine::BuildNextBundle(const CompactionJob& job,
-                                     bool* incremental) const {
-  *incremental = false;
-  auto patched = SnapshotIndexes::BuildIncremental(
-      *job.prev_idx, *graph_, job.frozen, job.first_new_edge, options_);
-  if (!patched.ok()) return patched.status();
-  if (*patched != nullptr) {
-    *incremental = true;
-    return patched;
-  }
-  return SnapshotIndexes::BuildMerged(*graph_, job.frozen, job.first_new_edge,
-                                      options_);
-}
-
 void AccessControlEngine::FoldOverlayIntoGraph(const DeltaOverlay& frozen) {
   // Nodes first (staged edges may name them), then removals, then
   // additions — additions in the frozen copy's iteration order, which
@@ -517,7 +502,6 @@ void AccessControlEngine::FoldOverlayIntoGraph(const DeltaOverlay& frozen) {
 
 void AccessControlEngine::StartBackgroundCompactionLocked() {
   CompactionJob job;
-  job.prev_idx = idx_;
   job.frozen = overlay_;  // the freeze: an O(overlay) copy, flat in |V|
   job.first_new_edge = static_cast<EdgeId>(graph_->EdgeSlotCount());
   building_ = true;
@@ -535,8 +519,7 @@ void AccessControlEngine::StartBackgroundCompactionLocked() {
 
 std::optional<AccessControlEngine::CompactionJob>
 AccessControlEngine::FinishCompactionLocked(
-    CompactionJob& job, std::shared_ptr<const SnapshotIndexes> bundle,
-    bool incremental) {
+    CompactionJob& job, std::shared_ptr<const SnapshotIndexes> bundle) {
   FoldOverlayIntoGraph(job.frozen);
   idx_ = std::move(bundle);
   snapshot_generation_.fetch_add(1, std::memory_order_release);
@@ -556,7 +539,7 @@ AccessControlEngine::FinishCompactionLocked(
     (void)ApplyOneLocked(op, &scratch, /*wal_batch=*/nullptr);
   }
   journal_.clear();
-  (incremental ? incremental_compactions_ : full_compactions_) += 1;
+  full_compactions_ += 1;
   last_compaction_status_ = OkStatus();
 
   // Auto picks depend on the new bundle; recompute them from the frozen
@@ -588,7 +571,6 @@ AccessControlEngine::FinishCompactionLocked(
   recompact_requested_ = false;
   if (!chain) return std::nullopt;
   CompactionJob next;
-  next.prev_idx = idx_;
   next.frozen = overlay_;
   next.first_new_edge = static_cast<EdgeId>(graph_->EdgeSlotCount());
   building_ = true;
@@ -613,13 +595,13 @@ void AccessControlEngine::CompactionWorker() {
     // journaling) mutations, readers keep serving published views. The
     // graph object is stable during the build — staging never writes
     // it, and only this thread folds.
-    bool incremental = false;
-    auto bundle = BuildNextBundle(job, &incremental);
+    auto bundle = SnapshotIndexes::BuildMerged(*graph_, job.frozen,
+                                               job.first_new_edge, options_);
     std::optional<CompactionJob> next;
     {
       std::lock_guard<std::mutex> lock(mutation_mu_);
       if (bundle.ok()) {
-        next = FinishCompactionLocked(job, std::move(*bundle), incremental);
+        next = FinishCompactionLocked(job, std::move(*bundle));
       } else {
         // Leave the old snapshot serving; the overlay (still relative
         // to it, journal included) is intact, so nothing is lost and a

@@ -39,10 +39,9 @@
 /// `Compact()` — explicit or threshold-triggered — freezes a copy of the
 /// overlay and returns immediately; a dedicated compaction thread builds
 /// the next SnapshotIndexes bundle against graph ⊕ frozen-overlay
-/// (incrementally patched when the delta is insertion-only and small —
-/// see SnapshotIndexes::BuildIncremental — else a full rebuild) while
-/// the writer keeps staging mutations, which are also recorded
-/// (label-resolved) in a replay journal. On completion the compaction
+/// (SnapshotIndexes::BuildMerged, a full build) while the writer keeps
+/// staging mutations, which are also recorded (label-resolved) in a
+/// replay journal. On completion the compaction
 /// thread briefly takes the writer lock, folds the frozen overlay into
 /// the SocialGraph, swaps in the new bundle, replays the journal through
 /// the same staging body the write queue uses into a fresh overlay
@@ -220,9 +219,9 @@ class AccessControlEngine {
   Result<NodeId> AddNode();
 
   /// Folds every staged mutation into the SocialGraph, clears the
-  /// overlay, installs a fresh (or incrementally patched) index bundle,
-  /// and publishes. No-op on an empty overlay. Returns as soon as the
-  /// frozen inputs are captured — the build, fold and publish happen on
+  /// overlay, installs a freshly built index bundle, and publishes.
+  /// No-op on an empty overlay. Returns as soon as the frozen inputs
+  /// are captured — the build, fold and publish happen on
   /// the compaction thread (WaitForCompaction() for synchronous
   /// semantics); a second Compact() while one is in flight makes its
   /// completion chain a follow-up that folds everything staged
@@ -372,10 +371,12 @@ class AccessControlEngine {
     return effective_compact_threshold_;
   }
 
-  /// Completed compactions that took the incremental index-patch path
-  /// vs. a full rebuild (writer-side; for tests and benchmarks).
-  uint64_t incremental_compactions() const { return incremental_compactions_; }
+  /// Completed compactions (writer-side; for tests and benchmarks).
+  /// Every compaction is a full BuildMerged.
   uint64_t full_compactions() const { return full_compactions_; }
+  /// Always 0, kept for source compatibility with callers from when
+  /// compaction had an incremental index-patch path.
+  uint64_t incremental_compactions() const { return 0; }
 
   /// Outcome of the most recently *finished* background compaction.
   /// Compact() itself returns before the build runs, so a failed build
@@ -401,7 +402,6 @@ class AccessControlEngine {
 
   /// Frozen inputs one background compaction builds against.
   struct CompactionJob {
-    std::shared_ptr<const SnapshotIndexes> prev_idx;
     DeltaOverlay frozen;
     EdgeId first_new_edge = 0;
   };
@@ -459,11 +459,6 @@ class AccessControlEngine {
   Status CheckEndpoints(NodeId src, NodeId dst) const;
   size_t LogicalNumNodesLocked() const;
 
-  /// Builds the next bundle for `job`: the incremental patch when
-  /// applicable, the full merged rebuild otherwise. Lock-free — this is
-  /// the expensive part. Sets `*incremental` to which path ran.
-  Result<std::shared_ptr<const SnapshotIndexes>> BuildNextBundle(
-      const CompactionJob& job, bool* incremental) const;
   /// Applies `frozen` to the mutable graph: staged nodes first, then
   /// removals, then additions in the frozen copy's iteration order (the
   /// order BuildMerged predicted edge ids in).
@@ -478,8 +473,7 @@ class AccessControlEngine {
   /// exceed the threshold) — the worker chains straight into it, and
   /// WaitForCompaction() drains the whole chain.
   std::optional<CompactionJob> FinishCompactionLocked(
-      CompactionJob& job, std::shared_ptr<const SnapshotIndexes> bundle,
-      bool incremental);
+      CompactionJob& job, std::shared_ptr<const SnapshotIndexes> bundle);
   /// Re-derives effective_compact_threshold_ from the current snapshot.
   void RecomputeEffectiveThreshold();
   /// SaveSnapshot body; caller holds mutation_mu_.
@@ -505,7 +499,6 @@ class AccessControlEngine {
   bool built_ = false;
   std::atomic<uint64_t> snapshot_generation_{0};
   size_t effective_compact_threshold_ = 0;
-  uint64_t incremental_compactions_ = 0;
   uint64_t full_compactions_ = 0;
 
   /// Writer-side pending mutations relative to the current snapshot.

@@ -64,20 +64,16 @@ bool NeedJoinStack(const EngineOptions& options) {
          options.evaluator == EvaluatorChoice::kJoinIndex;
 }
 
-/// Finishes a bundle whose csr (and, when `lg_built`, line graph +
-/// oracle) are already in place: the cluster index, base tables and
-/// closure are always derived fresh — they are linear-ish in the line
-/// graph, unlike the SCC/sweep work the incremental path avoids.
-Status FinishBundle(SnapshotIndexes& idx, bool lg_built,
-                    const EngineOptions& options) {
+/// Finishes a bundle whose csr is already in place: the join stack
+/// (line graph, oracle, cluster index, base tables) when the evaluator
+/// needs it, and the closure when the prefilter is on.
+Status FinishBundle(SnapshotIndexes& idx, const EngineOptions& options) {
   if (NeedJoinStack(options)) {
-    if (!lg_built) {
-      idx.lg = LineGraph::Build(
-          idx.csr, {.include_backward = options.line_graph_backward});
-      auto oracle = LineReachabilityOracle::Build(idx.lg);
-      if (!oracle.ok()) return oracle.status();
-      idx.oracle = std::make_unique<LineReachabilityOracle>(std::move(*oracle));
-    }
+    idx.lg = LineGraph::Build(
+        idx.csr, {.include_backward = options.line_graph_backward});
+    auto oracle = LineReachabilityOracle::Build(idx.lg);
+    if (!oracle.ok()) return oracle.status();
+    idx.oracle = std::make_unique<LineReachabilityOracle>(std::move(*oracle));
     auto cluster = ClusterJoinIndex::Build(idx.lg, *idx.oracle);
     if (!cluster.ok()) return cluster.status();
     idx.cluster = std::make_unique<ClusterJoinIndex>(std::move(*cluster));
@@ -98,7 +94,7 @@ Result<std::shared_ptr<const SnapshotIndexes>> SnapshotIndexes::Build(
     const SocialGraph& graph, const EngineOptions& options) {
   auto idx = std::make_shared<SnapshotIndexes>();
   idx->csr = CsrSnapshot::Build(graph);
-  SARGUS_RETURN_IF_ERROR(FinishBundle(*idx, /*lg_built=*/false, options));
+  SARGUS_RETURN_IF_ERROR(FinishBundle(*idx, options));
   return std::shared_ptr<const SnapshotIndexes>(std::move(idx));
 }
 
@@ -107,49 +103,7 @@ Result<std::shared_ptr<const SnapshotIndexes>> SnapshotIndexes::BuildMerged(
     EdgeId first_new_edge, const EngineOptions& options) {
   auto idx = std::make_shared<SnapshotIndexes>();
   idx->csr = CsrSnapshot::Build(graph, overlay, first_new_edge);
-  SARGUS_RETURN_IF_ERROR(FinishBundle(*idx, /*lg_built=*/false, options));
-  return std::shared_ptr<const SnapshotIndexes>(std::move(idx));
-}
-
-Result<std::shared_ptr<const SnapshotIndexes>>
-SnapshotIndexes::BuildIncremental(const SnapshotIndexes& prev,
-                                  const SocialGraph& graph,
-                                  const DeltaOverlay& overlay,
-                                  EdgeId first_new_edge,
-                                  const EngineOptions& options) {
-  // Gate: insertion-only (deleted reachability cannot be patched out of
-  // the labels) and small relative to the snapshot — past the fraction
-  // the resumed sweeps stop beating the batch build.
-  if (options.incremental_max_fraction <= 0.0 || overlay.has_deletions()) {
-    return std::shared_ptr<const SnapshotIndexes>(nullptr);
-  }
-  const double cap =
-      options.incremental_max_fraction * static_cast<double>(
-                                             prev.csr.NumEdges());
-  if (static_cast<double>(overlay.NumAdded()) > cap) {
-    return std::shared_ptr<const SnapshotIndexes>(nullptr);
-  }
-
-  auto idx = std::make_shared<SnapshotIndexes>();
-  idx->csr = CsrSnapshot::Build(graph, overlay, first_new_edge);
-  bool lg_built = false;
-  if (NeedJoinStack(options)) {
-    if (!prev.join_built || prev.oracle == nullptr) {
-      return std::shared_ptr<const SnapshotIndexes>(nullptr);
-    }
-    idx->lg = LineGraph::BuildIncremental(prev.lg, idx->csr, first_new_edge);
-    auto oracle = LineReachabilityOracle::BuildIncremental(
-        *prev.oracle, idx->lg,
-        static_cast<LineVertexId>(prev.lg.NumVertices()), {});
-    if (!oracle.has_value()) {
-      // An insertion closed a line-graph cycle: components must merge,
-      // which only the full Tarjan pass can do.
-      return std::shared_ptr<const SnapshotIndexes>(nullptr);
-    }
-    idx->oracle = std::make_unique<LineReachabilityOracle>(std::move(*oracle));
-    lg_built = true;
-  }
-  SARGUS_RETURN_IF_ERROR(FinishBundle(*idx, lg_built, options));
+  SARGUS_RETURN_IF_ERROR(FinishBundle(*idx, options));
   return std::shared_ptr<const SnapshotIndexes>(std::move(idx));
 }
 

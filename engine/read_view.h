@@ -100,12 +100,6 @@ struct EngineOptions {
   /// disables auto-compaction (the overlay then grows until an explicit
   /// Compact()).
   size_t compact_threshold = kCompactThresholdAuto;
-  /// Compactions whose staged delta is insertion-only and no larger
-  /// than this fraction of the snapshot's edges patch the line graph /
-  /// oracle incrementally instead of rebuilding them (see
-  /// SnapshotIndexes::BuildIncremental). 0 disables incremental
-  /// maintenance.
-  double incremental_max_fraction = 0.05;
   /// Mutations the queue holds before Submit blocks (backpressure).
   size_t write_queue_capacity = 4096;
   /// Most mutations the writer thread drains into one group-commit
@@ -190,21 +184,6 @@ struct SnapshotIndexes {
   static Result<std::shared_ptr<const SnapshotIndexes>> BuildMerged(
       const SocialGraph& graph, const DeltaOverlay& overlay,
       EdgeId first_new_edge, const EngineOptions& options);
-
-  /// Incremental variant of BuildMerged: patches `prev`'s line graph and
-  /// reachability oracle instead of rebuilding them (the CSR, closure,
-  /// cluster and base tables are re-derived — all linear). Only
-  /// applicable when the delta is insertion-only (removals shrink
-  /// reachability, which labels cannot un-learn), no larger than
-  /// options.incremental_max_fraction of the snapshot's edges, and the
-  /// insertions close no cycle in the line graph; returns null (not an
-  /// error) when any of these fail and the caller should fall back to
-  /// the full BuildMerged. Produces the same answers as the full build
-  /// (the equivalence test suite pins this on randomized overlays).
-  static Result<std::shared_ptr<const SnapshotIndexes>> BuildIncremental(
-      const SnapshotIndexes& prev, const SocialGraph& graph,
-      const DeltaOverlay& overlay, EdgeId first_new_edge,
-      const EngineOptions& options);
 };
 
 /// The immutable policy bundle: the resource table plus every rule

@@ -51,19 +51,6 @@ class LineGraph {
     return Build(csr, Options{});
   }
 
-  /// Incremental build for a grown snapshot: `csr` must contain every
-  /// edge of `prev`'s snapshot (same ids) plus edges with ids ≥
-  /// `first_new_edge` — the shape an insertion-only compaction produces
-  /// (CsrSnapshot::Build(g, overlay, first_new_edge)). Vertices of prev
-  /// keep their LineVertexIds — the property that lets the reachability
-  /// oracle be patched instead of rebuilt — and new-edge vertices are
-  /// appended (forward orientation, then backward when prev carried
-  /// backward orientations). The tail/head bucket lists are re-derived
-  /// (linear), not the vertices.
-  static LineGraph BuildIncremental(const LineGraph& prev,
-                                    const CsrSnapshot& csr,
-                                    EdgeId first_new_edge);
-
   size_t NumVertices() const { return vertices_.size(); }
 
   /// Number of implicit arcs: sum over line vertices of
@@ -99,10 +86,6 @@ class LineGraph {
 
  private:
   friend struct storage::StorageAccess;
-
-  /// Re-derives the tail/head bucket lists and the implicit arc count
-  /// from vertices_ for an n-node snapshot.
-  void RebuildBuckets(size_t n);
 
   std::vector<Vertex> vertices_;
   std::vector<uint32_t> tail_offsets_{0};

@@ -49,8 +49,8 @@ Result<ClusterJoinIndex> ClusterJoinIndex::Build(
   const size_t ol_count = idx.num_oriented_labels_;
   const Dag& dag = oracle.dag();
   const size_t c = dag.NumVertices();
-  // Membership: component -> bitmask over oriented labels (<= 32 labels
-  // per the bench fixtures; wider alphabets fall back to per-label sets).
+  // Membership: one byte vector per oriented label, indexed by
+  // component (1 when some line vertex of that label lies in it).
   std::vector<std::vector<uint8_t>> label_comps(ol_count,
                                                 std::vector<uint8_t>(c, 0));
   for (LineVertexId v = 0; v < lg.NumVertices(); ++v) {

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 #include "common/result.h"
 #include "graph/line_graph.h"
@@ -48,21 +47,6 @@ class LineReachabilityOracle {
   static Result<LineReachabilityOracle> Build(const LineGraph& lg) {
     return Build(lg, Options{});
   }
-
-  /// Incremental build for an insertion-only delta: `lg` must be
-  /// LineGraph::BuildIncremental of prev's line graph — old vertex ids
-  /// preserved, new vertices appended from `first_new_vertex`. Skips
-  /// the two implicit-arc enumerations (Tarjan + condensation) and the
-  /// full label sweep: each new line vertex becomes its own condensation
-  /// vertex, the DAG is extended with the arcs it induces, intervals are
-  /// re-labeled (linear), and the 2-hop labels are patched
-  /// (TwoHopLabeling::PatchInsertions). Returns nullopt — caller falls
-  /// back to a full Build — when an inserted edge closes a cycle in the
-  /// line graph (the appended-singleton-component assumption breaks:
-  /// existing SCCs would have to merge).
-  static std::optional<LineReachabilityOracle> BuildIncremental(
-      const LineReachabilityOracle& prev, const LineGraph& lg,
-      LineVertexId first_new_vertex, Options options);
 
   /// Exact line-graph reachability u ->* v (u == v counts as reachable).
   bool Reachable(LineVertexId u, LineVertexId v) const {

@@ -147,9 +147,6 @@ Result<TwoHopLabeling> TwoHopLabeling::Build(const Dag& dag,
   SweepResult r = PrunedSweep(dag, order);
 
   TwoHopLabeling lab;
-  lab.vertex_of_ = order;
-  lab.rank_of_.resize(n);
-  for (uint32_t rank = 0; rank < n; ++rank) lab.rank_of_[order[rank]] = rank;
   lab.Flatten(r.out_hubs, r.in_hubs);
   return lab;
 }
@@ -174,115 +171,6 @@ void TwoHopLabeling::Flatten(
     out_hubs_.insert(out_hubs_.end(), out_hubs[v].begin(), out_hubs[v].end());
     in_hubs_.insert(in_hubs_.end(), in_hubs[v].begin(), in_hubs[v].end());
   }
-}
-
-namespace {
-
-/// Common hub with rank strictly below `limit` in two rank-sorted lists —
-/// the prefix coverage test the resumed sweeps prune on.
-bool PrefixCovered(const std::vector<uint32_t>& a,
-                   const std::vector<uint32_t>& b, uint32_t limit) {
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size() && a[i] < limit && b[j] < limit) {
-    if (a[i] == b[j]) return true;
-    if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return false;
-}
-
-/// Inserts `rank` into a rank-sorted hub list; returns false when it was
-/// already present.
-bool InsertSorted(std::vector<uint32_t>& hubs, uint32_t rank) {
-  auto it = std::lower_bound(hubs.begin(), hubs.end(), rank);
-  if (it != hubs.end() && *it == rank) return false;
-  hubs.insert(it, rank);
-  return true;
-}
-
-}  // namespace
-
-TwoHopLabeling TwoHopLabeling::PatchInsertions(
-    const TwoHopLabeling& prev, const Dag& new_dag, uint32_t old_num_vertices,
-    std::span<const std::pair<uint32_t, uint32_t>> new_arcs) {
-  const size_t n = new_dag.NumVertices();
-
-  // Unpack into per-vertex lists; new vertices rank after every old one
-  // (worst priority — they cannot displace established canonical hubs)
-  // and start with their self-entries.
-  std::vector<std::vector<uint32_t>> out_h(n);
-  std::vector<std::vector<uint32_t>> in_h(n);
-  for (uint32_t v = 0; v < old_num_vertices; ++v) {
-    out_h[v].assign(prev.out_hubs_.begin() + prev.out_offsets_[v],
-                    prev.out_hubs_.begin() + prev.out_offsets_[v + 1]);
-    in_h[v].assign(prev.in_hubs_.begin() + prev.in_offsets_[v],
-                   prev.in_hubs_.begin() + prev.in_offsets_[v + 1]);
-  }
-  TwoHopLabeling lab;
-  lab.rank_of_ = prev.rank_of_;
-  lab.vertex_of_ = prev.vertex_of_;
-  lab.rank_of_.resize(n);
-  lab.vertex_of_.resize(n);
-  for (uint32_t v = old_num_vertices; v < n; ++v) {
-    lab.rank_of_[v] = v;
-    lab.vertex_of_[v] = v;
-    out_h[v].push_back(v);
-    in_h[v].push_back(v);
-  }
-
-  // One resumed, prefix-pruned BFS per (new arc, incident hub). Visiting
-  // order over arcs and hubs does not affect correctness (see header):
-  // every prune is justified by a strictly lower-ranked certificate,
-  // whose existence would contradict the canonical hub's minimality.
-  std::vector<uint8_t> seen(n, 0);
-  std::vector<uint32_t> queue;
-  std::vector<uint32_t> touched;
-  std::vector<uint32_t> hubs;
-  for (const auto& [x, y] : new_arcs) {
-    auto resume = [&](bool forward) {
-      const uint32_t start = forward ? y : x;
-      // Snapshot: the pass below may grow other vertices' lists but
-      // never this one's (that would require a cycle through the arc).
-      hubs = forward ? in_h[x] : out_h[y];
-      for (const uint32_t h : hubs) {
-        const uint32_t hv = lab.vertex_of_[h];
-        queue.clear();
-        touched.clear();
-        // The start vertex is enqueued unconditionally; coverage is
-        // checked when dequeued, like every other vertex.
-        queue.push_back(start);
-        seen[start] = 1;
-        touched.push_back(start);
-        for (size_t head = 0; head < queue.size(); ++head) {
-          const uint32_t v = queue[head];
-          const bool covered =
-              forward ? PrefixCovered(out_h[hv], in_h[v], h)
-                      : PrefixCovered(out_h[v], in_h[hv], h);
-          if (covered) continue;  // prune: no entry, no descent
-          // Insert (a duplicate means another pass already carried this
-          // hub here; keep descending — its descent may have been
-          // resumed from a different frontier).
-          (void)InsertSorted(forward ? in_h[v] : out_h[v], h);
-          for (uint32_t w : forward ? new_dag.Out(v) : new_dag.In(v)) {
-            if (!seen[w]) {
-              seen[w] = 1;
-              touched.push_back(w);
-              queue.push_back(w);
-            }
-          }
-        }
-        for (uint32_t v : touched) seen[v] = 0;
-      }
-    };
-    resume(/*forward=*/true);
-    resume(/*forward=*/false);
-  }
-
-  lab.Flatten(out_h, in_h);
-  return lab;
 }
 
 bool TwoHopLabeling::Reachable(uint32_t u, uint32_t v) const {

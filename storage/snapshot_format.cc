@@ -116,8 +116,6 @@ void StorageAccess::SaveOracle(const LineReachabilityOracle& o,
   w.PutVec(t.out_hubs_);
   w.PutVec(t.in_offsets_);
   w.PutVec(t.in_hubs_);
-  w.PutVec(t.rank_of_);
-  w.PutVec(t.vertex_of_);
 }
 
 void StorageAccess::SaveCluster(const ClusterJoinIndex& c, BlobWriter& w) {

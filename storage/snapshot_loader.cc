@@ -150,8 +150,6 @@ Status StorageAccess::LoadOracle(BlobReader& r, LineReachabilityOracle* o) {
   r.GetVec(&t.out_hubs_);
   r.GetVec(&t.in_offsets_);
   r.GetVec(&t.in_hubs_);
-  r.GetVec(&t.rank_of_);
-  r.GetVec(&t.vertex_of_);
   return FinishSection(r, "oracle");
 }
 

@@ -383,7 +383,7 @@ TEST(CompactionStress, ReadersRaceBackgroundCompactions) {
   EXPECT_GT(engine.snapshot_generation(), 1u);
 }
 
-// ---- Incremental index maintenance ------------------------------------------
+// ---- The compaction build ---------------------------------------------------
 
 /// Maps a line vertex to its (edge, orientation) identity so bundles
 /// built with different vertex orders can be compared.
@@ -426,15 +426,115 @@ void ExpectOraclesAgree(const SnapshotIndexes& a, const SnapshotIndexes& b,
   EXPECT_GT(checked, 0u) << label;
 }
 
+/// Applies `overlay` to `g` the way a compaction fold does: staged
+/// nodes, then removals, then additions in the overlay's iteration order.
+void Fold(SocialGraph& g, const DeltaOverlay& overlay) {
+  if (overlay.num_staged_nodes() > 0) {
+    (void)g.AddNodes(overlay.num_staged_nodes());
+  }
+  overlay.ForEachRemoved([&](const DeltaOverlay::EdgeTriple& t) {
+    auto id = g.FindEdge(t.src, t.dst, t.label);
+    if (id.has_value()) (void)g.RemoveEdge(*id);
+  });
+  overlay.ForEachAdded([&](const DeltaOverlay::EdgeTriple& t) {
+    (void)g.AddEdge(t.src, t.dst, t.label);
+  });
+}
+
+/// Builds the compaction bundle for `overlay` against the unfolded `g`
+/// and checks it against `Build` of the folded graph: the predicted edge
+/// ids are the ones the fold assigned (same line-vertex identities, each
+/// over the same oriented edge) and both oracle modes agree on every
+/// line-vertex pair.
+void ExpectMergedMatchesFoldedBuild(const SocialGraph& g,
+                                    const DeltaOverlay& overlay,
+                                    const EngineOptions& options,
+                                    const std::string& label) {
+  const EdgeId first_new = static_cast<EdgeId>(g.EdgeSlotCount());
+  auto merged = SnapshotIndexes::BuildMerged(g, overlay, first_new, options);
+  ASSERT_TRUE(merged.ok()) << label << ": " << merged.status().ToString();
+  SocialGraph folded = g;
+  Fold(folded, overlay);
+  auto built = SnapshotIndexes::Build(folded, options);
+  ASSERT_TRUE(built.ok()) << label << ": " << built.status().ToString();
+
+  const auto mm = LineIdentity((*merged)->lg);
+  const auto mb = LineIdentity((*built)->lg);
+  ASSERT_EQ(mm.size(), mb.size()) << label;
+  for (const auto& [key, vm] : mm) {
+    auto it = mb.find(key);
+    ASSERT_TRUE(it != mb.end()) << label << ": edge " << key.first;
+    const auto& a = (*merged)->lg.vertex(vm);
+    const auto& b = (*built)->lg.vertex(it->second);
+    EXPECT_EQ(a.tail, b.tail) << label << ": edge " << key.first;
+    EXPECT_EQ(a.head, b.head) << label << ": edge " << key.first;
+    EXPECT_EQ(a.label, b.label) << label << ": edge " << key.first;
+  }
+  ExpectOraclesAgree(**merged, **built, label.c_str());
+}
+
+TEST(CompactionFold, MergedBuildMatchesBuildOfFoldedGraph) {
+  // Every compaction builds its bundle with BuildMerged against the
+  // unfolded graph; the fold then assigns the edge ids that build
+  // predicted. Pin that contract on cyclic bases with deltas that mix
+  // insertions between existing nodes (cycle-closing included),
+  // removals and staged nodes.
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const SocialGraphSpec base{.num_nodes = 24, .seed = seed};
+    auto gen = seed % 2 == 0
+                   ? GenerateBarabasiAlbert({.base = base, .edges_per_node = 2})
+                   : GenerateErdosRenyi({.base = base, .avg_out_degree = 2.0});
+    ASSERT_TRUE(gen.ok()) << gen.status().ToString();
+    SocialGraph g = std::move(*gen);
+    EngineOptions options;
+    options.evaluator = EvaluatorChoice::kAuto;
+    options.line_graph_backward = seed % 4 >= 2;
+    const LabelId fr = g.labels().Lookup("friend");
+    const LabelId co = g.labels().Lookup("colleague");
+    ASSERT_NE(fr, kInvalidLabel);
+    ASSERT_NE(co, kInvalidLabel);
+
+    Rng rng(9300 + seed);
+    const size_t n = g.NumNodes();
+    DeltaOverlay overlay;
+    overlay.StageNode();
+    overlay.StageNode();
+    for (int i = 0; i < 6; ++i) {
+      const EdgeId e = static_cast<EdgeId>(rng.NextBounded(g.EdgeSlotCount()));
+      if (!g.IsLiveEdge(e)) continue;
+      (void)overlay.StageRemove(g.edge(e).src, g.edge(e).dst, g.edge(e).label);
+    }
+    for (int i = 0; i < 12; ++i) {
+      // Mostly existing -> existing (closes line-graph cycles on these
+      // bases); some touch the staged nodes.
+      const size_t range = i % 3 == 0 ? n + 2 : n;
+      const NodeId s = static_cast<NodeId>(rng.NextBounded(range));
+      const NodeId d = static_cast<NodeId>(rng.NextBounded(range));
+      if (s == d) continue;
+      const LabelId l = rng.NextBool(0.5) ? fr : co;
+      if (s < n && d < n && g.FindEdge(s, d, l).has_value()) continue;
+      (void)overlay.StageAdd(s, d, l);
+    }
+    ASSERT_TRUE(overlay.has_insertions());
+    ASSERT_TRUE(overlay.has_deletions());
+    ExpectMergedMatchesFoldedBuild(g, overlay, options,
+                                   "seed " + std::to_string(seed));
+  }
+}
+
+// The CompactionIncremental tests keep the delta shapes compaction once
+// patched in place (insertions that close no line-graph cycle) and the
+// shapes that fell back to a full build (deletions, cycle-closing
+// insertions, deltas large against the base). Every one of them now
+// takes the one BuildMerged build, which must match a rebuild.
+
 TEST(CompactionIncremental, PatchedBundleMatchesFullRebuildRandomized) {
   EngineOptions options;
   options.evaluator = EvaluatorChoice::kAuto;
-  options.incremental_max_fraction = 1.0;  // exercise the patch, not the gate
 
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     // Random DAG base (edges low -> high) plus forward-oriented staged
-    // insertions: the logical graph stays acyclic, so the patch path
-    // must apply on every seed — no silent fallback weakening the test.
+    // insertions: the logical graph stays acyclic.
     Rng rng(7000 + seed);
     SocialGraph g;
     const size_t n = 26;
@@ -448,8 +548,6 @@ TEST(CompactionIncremental, PatchedBundleMatchesFullRebuildRandomized) {
       if (s > d) std::swap(s, d);
       (void)g.AddEdge(s, d, rng.NextBool(0.5) ? fr : co);
     }
-    auto prev = SnapshotIndexes::Build(g, options);
-    ASSERT_TRUE(prev.ok());
 
     DeltaOverlay overlay;
     // A couple of staged nodes (appended = topologically last, so edges
@@ -466,37 +564,24 @@ TEST(CompactionIncremental, PatchedBundleMatchesFullRebuildRandomized) {
       if (s < n && d < n && g.FindEdge(s, d, l).has_value()) continue;
       (void)overlay.StageAdd(s, d, l);
     }
-    const EdgeId first_new = static_cast<EdgeId>(g.EdgeSlotCount());
-
-    auto patched =
-        SnapshotIndexes::BuildIncremental(**prev, g, overlay, first_new,
-                                          options);
-    ASSERT_TRUE(patched.ok()) << patched.status().ToString();
-    ASSERT_NE(*patched, nullptr) << "seed " << seed
-                                 << ": acyclic delta unexpectedly fell back";
-    auto full = SnapshotIndexes::BuildMerged(g, overlay, first_new, options);
-    ASSERT_TRUE(full.ok());
-    ExpectOraclesAgree(**patched, **full,
-                       ("seed " + std::to_string(seed)).c_str());
+    ASSERT_TRUE(overlay.has_insertions());
+    ExpectMergedMatchesFoldedBuild(g, overlay, options,
+                                   "seed " + std::to_string(seed));
   }
 }
 
 TEST(CompactionIncremental, PatchedBundleMatchesFullRebuildOnCyclicBase) {
-  // The base may be arbitrarily cyclic (Tarjan already condensed it);
-  // what the patch needs is only that the *insertions* close no new
-  // cycle. Random ER bases + insertions hanging off fresh staged nodes
-  // (unreachable, so never cycle-closing) pin that case down.
+  // Random ER bases (cyclic) plus insertions hanging off a fresh staged
+  // node: the fresh node has no in-edges, so no path returns to the new
+  // line vertices.
   EngineOptions options;
   options.evaluator = EvaluatorChoice::kAuto;
-  options.incremental_max_fraction = 1.0;
 
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     auto gen = GenerateErdosRenyi(
         {.base = {.num_nodes = 22, .seed = seed}, .avg_out_degree = 2.4});
     ASSERT_TRUE(gen.ok());
     SocialGraph g = std::move(*gen);
-    auto prev = SnapshotIndexes::Build(g, options);
-    ASSERT_TRUE(prev.ok());
     const LabelId fr = g.labels().Lookup("friend");
     ASSERT_NE(fr, kInvalidLabel);
 
@@ -505,21 +590,12 @@ TEST(CompactionIncremental, PatchedBundleMatchesFullRebuildOnCyclicBase) {
     const NodeId fresh = static_cast<NodeId>(g.NumNodes());
     overlay.StageNode();
     for (int i = 0; i < 6; ++i) {
-      // fresh -> existing: the fresh node has no in-edges, so no path
-      // returns to these line vertices.
       (void)overlay.StageAdd(
           fresh, static_cast<NodeId>(rng.NextBounded(g.NumNodes())), fr);
     }
-    const EdgeId first_new = static_cast<EdgeId>(g.EdgeSlotCount());
-    auto patched =
-        SnapshotIndexes::BuildIncremental(**prev, g, overlay, first_new,
-                                          options);
-    ASSERT_TRUE(patched.ok());
-    ASSERT_NE(*patched, nullptr) << "seed " << seed;
-    auto full = SnapshotIndexes::BuildMerged(g, overlay, first_new, options);
-    ASSERT_TRUE(full.ok());
-    ExpectOraclesAgree(**patched, **full,
-                       ("cyclic-base seed " + std::to_string(seed)).c_str());
+    ASSERT_TRUE(overlay.has_insertions());
+    ExpectMergedMatchesFoldedBuild(
+        g, overlay, options, "cyclic-base seed " + std::to_string(seed));
   }
 }
 
@@ -532,45 +608,29 @@ TEST(CompactionIncremental, FallsBackOnDeletionsCyclesAndLargeDeltas) {
   for (int i = 0; i < 3; ++i) g.AddNode();
   (void)g.AddEdge(0, 1, "friend");
   (void)g.AddEdge(1, 2, "friend");
-  auto prev = SnapshotIndexes::Build(g, options);
-  ASSERT_TRUE(prev.ok());
   const LabelId fr = g.labels().Lookup("friend");
-  const EdgeId first_new = static_cast<EdgeId>(g.EdgeSlotCount());
 
-  // Deletions cannot be patched out of reachability labels.
+  // A deletion.
   {
     DeltaOverlay overlay;
-    overlay.StageRemove(0, 1, fr);
-    auto r = SnapshotIndexes::BuildIncremental(**prev, g, overlay, first_new,
-                                               options);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(*r, nullptr);
+    ASSERT_TRUE(overlay.StageRemove(0, 1, fr));
+    ExpectMergedMatchesFoldedBuild(g, overlay, options, "deletion");
   }
-  // A cycle-closing insertion must merge SCCs: fallback.
+  // A cycle-closing insertion merges SCCs.
   {
     DeltaOverlay overlay;
     overlay.StageAdd(2, 0, fr);
-    auto r = SnapshotIndexes::BuildIncremental(**prev, g, overlay, first_new,
-                                               options);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(*r, nullptr);
-    // The full merged build handles it (sanity).
-    auto full = SnapshotIndexes::BuildMerged(g, overlay, first_new, options);
-    ASSERT_TRUE(full.ok());
-    EXPECT_TRUE((*full)->oracle != nullptr);
+    ExpectMergedMatchesFoldedBuild(g, overlay, options, "cycle");
   }
-  // Delta past the fraction gate (2 edges; 5% of 2 edges is < 1).
+  // A delta half the size of the base.
   {
     DeltaOverlay overlay;
     overlay.StageAdd(0, 2, fr);
-    auto r = SnapshotIndexes::BuildIncremental(**prev, g, overlay, first_new,
-                                               options);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(*r, nullptr);
+    ExpectMergedMatchesFoldedBuild(g, overlay, options, "large delta");
   }
 }
 
-TEST(CompactionIncremental, EngineTakesIncrementalPathForSmallInsertions) {
+TEST(CompactionFold, JoinIndexServesAfterInsertionAndRemovalCompactions) {
   auto gen = GenerateBarabasiAlbert(
       {.base = {.num_nodes = 400, .seed = 5}, .edges_per_node = 3});
   ASSERT_TRUE(gen.ok());
@@ -584,38 +644,44 @@ TEST(CompactionIncremental, EngineTakesIncrementalPathForSmallInsertions) {
   ASSERT_TRUE(engine.RebuildIndexes().ok());
   const LabelId fr = g.labels().Lookup("friend");
 
-  // Insertions hanging off a fresh staged node cannot close a line-graph
-  // cycle (nothing reaches a node with no in-edges), so the patch path
-  // is guaranteed applicable.
+  // After each compaction the rebuilt join index serves (the overlay is
+  // empty again) and agrees with online search on the folded graph.
+  auto expect_join_agrees = [&](NodeId fresh, const char* stage) {
+    for (NodeId req : {fresh, NodeId{1}, NodeId{50}, NodeId{399}}) {
+      auto joined = engine.CheckAccess({.requester = req, .resource = res});
+      auto online = engine.CheckAccess(
+          {.requester = req,
+           .resource = res,
+           .evaluator_override = EvaluatorChoice::kOnlineBfs});
+      ASSERT_TRUE(joined.ok());
+      ASSERT_TRUE(online.ok());
+      EXPECT_EQ(joined->evaluator_name, "join-index") << stage << " " << req;
+      EXPECT_EQ(joined->granted, online->granted) << stage << " " << req;
+    }
+  };
+
+  // Insertion-only delta: a fresh node wired to the owner's neighborhood.
   auto id = engine.AddNode();
   ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(engine.AddEdge(0, *id, fr).ok());
   for (NodeId d = 1; d <= 6; ++d) {
     ASSERT_TRUE(engine.AddEdge(*id, d, fr).ok());
   }
   ASSERT_TRUE(engine.Compact().ok());
   engine.WaitForCompaction();
-  EXPECT_EQ(engine.incremental_compactions(), 1u);
-  EXPECT_EQ(engine.full_compactions(), 0u);
+  ASSERT_TRUE(engine.last_compaction_status().ok());
+  EXPECT_EQ(engine.full_compactions(), 1u);
+  EXPECT_EQ(engine.incremental_compactions(), 0u);
+  expect_join_agrees(*id, "after insertions");
 
-  // The compacted (patched) join index serves and agrees with online
-  // search on the grown graph.
-  for (NodeId req : {*id, NodeId{1}, NodeId{50}, NodeId{399}}) {
-    auto joined = engine.CheckAccess({.requester = req, .resource = res});
-    auto online = engine.CheckAccess(
-        {.requester = req,
-         .resource = res,
-         .evaluator_override = EvaluatorChoice::kOnlineBfs});
-    ASSERT_TRUE(joined.ok());
-    ASSERT_TRUE(online.ok());
-    EXPECT_EQ(joined->granted, online->granted) << req;
-  }
-
-  // A deletion-bearing delta falls back to the full rebuild.
-  ASSERT_TRUE(engine.RemoveEdge(*id, 1, fr).ok());
+  // A removal-bearing delta takes the same build.
+  ASSERT_TRUE(engine.RemoveEdge(0, *id, fr).ok());
   ASSERT_TRUE(engine.Compact().ok());
   engine.WaitForCompaction();
-  EXPECT_EQ(engine.incremental_compactions(), 1u);
-  EXPECT_EQ(engine.full_compactions(), 1u);
+  ASSERT_TRUE(engine.last_compaction_status().ok());
+  EXPECT_EQ(engine.full_compactions(), 2u);
+  EXPECT_EQ(engine.incremental_compactions(), 0u);
+  expect_join_agrees(*id, "after removal");
 }
 
 // ---- Threshold scaling ------------------------------------------------------

@@ -409,6 +409,56 @@ TEST(Bundle, MissingBundleIsNotFound) {
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
 
+// A bundle written under another format version must be refused, not
+// misread: the header checksum is recomputed after the version edit so
+// only the version check can catch it.
+TEST(Bundle, OtherVersionIsDataLoss) {
+  TempDir dir;
+  SocialGraph g = MakeDiamond();
+  PolicyStore store;
+  const ResourceId photo = store.RegisterResource(0, "photo");
+  ASSERT_TRUE(store.AddRuleFromPaths(photo, {"friend[1,2]"}).ok());
+  AccessControlEngine engine(g, store);
+  ASSERT_TRUE(engine.RebuildIndexes().ok());
+  ASSERT_TRUE(engine.EnableDurability(dir.path()).ok());
+
+  const std::string bundle_path = dir.File(storage::kSnapshotFileName);
+  auto info = storage::ReadBundleInfo(bundle_path);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info->version, storage::kBundleVersion);
+  const std::vector<uint8_t> pristine = ReadAll(bundle_path);
+  ASSERT_GE(pristine.size(), storage::kBundlePageSize);
+
+  for (const uint32_t version :
+       {storage::kBundleVersion - 1, storage::kBundleVersion + 1}) {
+    std::vector<uint8_t> bytes = pristine;
+    for (int i = 0; i < 4; ++i) {
+      bytes[8 + i] = static_cast<uint8_t>(version >> (8 * i));
+    }
+    const uint64_t sum = Fnv1a64(bytes.data(), storage::kBundlePageSize - 8);
+    for (int i = 0; i < 8; ++i) {
+      bytes[storage::kBundlePageSize - 8 + i] =
+          static_cast<uint8_t>(sum >> (8 * i));
+    }
+    WriteAll(bundle_path, bytes);
+
+    auto read = storage::ReadBundleInfo(bundle_path);
+    ASSERT_FALSE(read.ok()) << "version " << version;
+    EXPECT_EQ(read.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(read.status().ToString().find("unsupported version"),
+              std::string::npos)
+        << read.status().ToString();
+
+    SocialGraph g2;
+    auto opened = AccessControlEngine::OpenFromDir(dir.path(), &g2, store);
+    ASSERT_FALSE(opened.ok()) << "version " << version;
+    EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(opened.status().ToString().find("unsupported version"),
+              std::string::npos)
+        << opened.status().ToString();
+  }
+}
+
 TEST(Bundle, OpenValidatesOptionsAgainstFlags) {
   TempDir dir;
   SocialGraph g = MakeDiamond();
