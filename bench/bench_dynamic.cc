@@ -13,12 +13,21 @@
 ///    mutation cost must be flat in |V| (the acceptance criterion for
 ///    the overlay subsystem), with compaction as a bounded amortized
 ///    add-on, while the rebuild-per-mutation baseline grows linearly;
+///  * the write-cost-vs-overlay series (BM_WriteVsStagedOverlay): one
+///    AddEdge — one batch, one published view — at a growing staged
+///    overlay; publication shares the overlay's copy-on-write shards, so
+///    the cost must stay flat in the overlay's size;
 ///  * the compaction-latency series (BM_CompactStallBackground): the
 ///    writer-observed Compact() stall of the double-buffered pipeline
-///    (an O(overlay) freeze — flat in |V|; the retired blocking mode's
-///    linear-in-|V| stall is a recorded number in docs/ARCHITECTURE.md).
+///    (a freeze that shares the overlay's shards — flat in |V|; the
+///    retired blocking mode's linear-in-|V| stall is a recorded number
+///    in docs/ARCHITECTURE.md).
 
 #include <benchmark/benchmark.h>
+
+#include <chrono>
+#include <set>
+#include <tuple>
 
 #include "bench_common.h"
 #include "engine/access_engine.h"
@@ -287,7 +296,7 @@ void StageFreshInsertions(AccessControlEngine& engine, const SocialGraph& g,
 }
 
 /// Writer-observed Compact() stall: the timed region is only the freeze
-/// (an O(overlay) copy + thread kick) — the build, fold and publish
+/// (a shard-sharing copy + thread kick) — the build, fold and publish
 /// happen on the compaction thread (drained outside the timer). Must be
 /// flat in |V|.
 void BM_CompactStallBackground(benchmark::State& state) {
@@ -316,6 +325,76 @@ void BM_CompactStallBackground(benchmark::State& state) {
   }
   state.counters["nodes"] = static_cast<double>(n);
 }
+/// One AddEdge (one group-commit batch, one published view) on BA 16k
+/// with `range(0)` entries already staged: 70% fresh insertions and 30%
+/// removals of base edges, submitted pipelined, with auto-compaction off.
+/// Each timed insertion is withdrawn again off the clock, so the
+/// overlay stays at its staged size. The acceptance bar: the cost per
+/// write stays within 2x from ~200 to ~12.2k staged entries.
+void BM_WriteVsStagedOverlay(benchmark::State& state) {
+  constexpr size_t n = 16384;
+  const auto staged = static_cast<size_t>(state.range(0));
+  SocialGraph g = MakeGraph(GraphKind::kBarabasiAlbert, n, 3, 42);
+  PolicyStore store;
+  const ResourceId res = store.RegisterResource(/*owner=*/0, "doc");
+  (void)store.AddRuleFromPaths(res, {kQ1}).ValueOrDie();
+  EngineOptions options;
+  options.evaluator = EvaluatorChoice::kOnlineBfs;
+  options.compact_threshold = 0;
+  AccessControlEngine engine(g, store, options);
+  if (auto st = engine.RebuildIndexes(); !st.ok()) {
+    state.SkipWithError(st.ToString().c_str());
+    return;
+  }
+  const LabelId friend_label = g.labels().Lookup("friend");
+  Rng rng(29);
+  std::set<std::tuple<NodeId, NodeId, LabelId>> touched;
+  auto fresh_pair = [&] {
+    NodeId s, d;
+    do {
+      s = static_cast<NodeId>(rng.NextBounded(n));
+      d = static_cast<NodeId>(rng.NextBounded(n));
+    } while (g.FindEdge(s, d, friend_label).has_value() ||
+             touched.contains({s, d, friend_label}));
+    return std::pair{s, d};
+  };
+  for (size_t i = 0; i < staged; ++i) {
+    if (i % 10 < 7) {
+      const auto [s, d] = fresh_pair();
+      touched.insert({s, d, friend_label});
+      (void)engine.SubmitAddEdge(s, d, friend_label);
+      continue;
+    }
+    for (;;) {
+      const auto e = static_cast<EdgeId>(rng.NextBounded(g.EdgeSlotCount()));
+      if (!g.IsLiveEdge(e)) continue;
+      const Edge& rec = g.edge(e);
+      if (!touched.insert({rec.src, rec.dst, rec.label}).second) continue;
+      (void)engine.SubmitRemoveEdge(rec.src, rec.dst, rec.label);
+      break;
+    }
+  }
+  engine.FlushWrites();
+  for (auto _ : state) {
+    const auto [s, d] = fresh_pair();
+    const auto start = std::chrono::steady_clock::now();
+    const bool ok = engine.AddEdge(s, d, friend_label).ok();
+    const auto stop = std::chrono::steady_clock::now();
+    state.SetIterationTime(std::chrono::duration<double>(stop - start).count());
+    benchmark::DoNotOptimize(ok);
+    (void)engine.RemoveEdge(s, d, friend_label);
+  }
+  state.counters["staged"] = static_cast<double>(engine.overlay().size());
+}
+BENCHMARK(BM_WriteVsStagedOverlay)
+    ->Arg(200)
+    ->Arg(1200)
+    ->Arg(3200)
+    ->Arg(6200)
+    ->Arg(12200)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
+
 BENCHMARK(BM_CompactStallBackground)
     ->Arg(1024)
     ->Arg(4096)

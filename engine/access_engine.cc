@@ -1,6 +1,7 @@
 #include "engine/access_engine.h"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "common/file_util.h"
@@ -83,7 +84,7 @@ AccessControlEngine::~AccessControlEngine() {
 
 void AccessControlEngine::PublishView() {
   auto view = AccessReadView::Create(
-      *graph_, idx_, policy_, overlay_, options_,
+      *graph_, idx_, policy_, overlay_.Freeze(), options_,
       snapshot_generation_.load(std::memory_order_relaxed));
   {
     std::lock_guard<std::mutex> lock(view_mu_);
@@ -388,9 +389,17 @@ Status AccessControlEngine::ApplyOneLocked(
   return OkStatus();
 }
 
-void AccessControlEngine::ApplyWriteBatch(std::span<const WriteOp> ops,
-                                          WriteOutcome* outcomes) {
+WriteStageNanos AccessControlEngine::ApplyWriteBatch(
+    std::span<const WriteOp> ops, WriteOutcome* outcomes) {
+  using Clock = std::chrono::steady_clock;
+  const auto nanos = [](Clock::time_point from, Clock::time_point to) {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(to - from)
+            .count());
+  };
+  WriteStageNanos ns;
   std::lock_guard<std::mutex> lock(mutation_mu_);
+  const Clock::time_point staging = Clock::now();
   std::vector<storage::WalRecord> wal_batch;
   if (durable_ && !wal_replaying_) wal_batch.reserve(ops.size());
   std::vector<storage::WalRecord>* wal_sink =
@@ -429,7 +438,11 @@ void AccessControlEngine::ApplyWriteBatch(std::span<const WriteOp> ops,
 
   // The group commit: one gathered WAL write + one fsync for every
   // record the batch produced, *before* any ticket observes OK.
+  const Clock::time_point committing = Clock::now();
+  ns.stage = nanos(staging, committing);
   const Status wal_status = WalCommitBatchLocked(wal_batch);
+  const Clock::time_point publishing = Clock::now();
+  ns.wal = nanos(committing, publishing);
   if (!wal_status.ok()) {
     // An acknowledged mutation must be WAL-durable: fail every op that
     // believed it committed, and publish nothing. The ops stay staged in
@@ -438,7 +451,7 @@ void AccessControlEngine::ApplyWriteBatch(std::span<const WriteOp> ops,
     for (size_t i = 0; i < ops.size(); ++i) {
       if (outcomes[i].status.ok()) outcomes[i].status = wal_status;
     }
-    return;
+    return ns;
   }
 
   if (any_graph_mutation) {
@@ -448,6 +461,8 @@ void AccessControlEngine::ApplyWriteBatch(std::span<const WriteOp> ops,
   } else if (policy_refreshed) {
     PublishView();
   }
+  ns.publish = nanos(publishing, Clock::now());
+  return ns;
 }
 
 bool AccessControlEngine::EdgeInBaseLocked(NodeId src, NodeId dst,
@@ -502,7 +517,9 @@ void AccessControlEngine::FoldOverlayIntoGraph(const DeltaOverlay& frozen) {
 
 void AccessControlEngine::StartBackgroundCompactionLocked() {
   CompactionJob job;
-  job.frozen = overlay_;  // the freeze: an O(overlay) copy, flat in |V|
+  // The freeze shares the overlay's shards (O(shards), flat in |V| and
+  // in the overlay's size); the writer clones a shard on its next write.
+  job.frozen = overlay_.Freeze();
   job.first_new_edge = static_cast<EdgeId>(graph_->EdgeSlotCount());
   building_ = true;
   journal_.clear();
@@ -571,7 +588,7 @@ AccessControlEngine::FinishCompactionLocked(
   recompact_requested_ = false;
   if (!chain) return std::nullopt;
   CompactionJob next;
-  next.frozen = overlay_;
+  next.frozen = overlay_.Freeze();
   next.first_new_edge = static_cast<EdgeId>(graph_->EdgeSlotCount());
   building_ = true;
   journal_.clear();

@@ -24,13 +24,14 @@
 ///
 /// Lifecycle: construct, RebuildIndexes(), serve. Graph mutations go
 /// through the engine's AddEdge/RemoveEdge/AddNode (requires the
-/// mutable-graph constructor): each is an O(overlay) staged write — a
-/// DeltaOverlay delta plus a republished view carrying a frozen overlay
-/// copy — visible to the very next acquired view, never a rebuild
-/// (bench_dynamic.cc charts the cost model: flat in |V|, linear only in
-/// the bounded overlay size). When the overlay exceeds the effective
-/// compaction threshold (EngineOptions::compact_threshold; the default
-/// scales as max(1024, |E|/16)), the engine automatically Compact()s.
+/// mutable-graph constructor): each is a staged write — a DeltaOverlay
+/// delta plus a republished view carrying a frozen overlay copy that
+/// shares the writer's copy-on-write shards — visible to the very next
+/// acquired view, never a rebuild (bench_dynamic.cc charts the cost
+/// model: flat in |V| and in the staged overlay's size). When the
+/// overlay exceeds the effective compaction threshold
+/// (EngineOptions::compact_threshold; the default scales as
+/// max(1024, |E|/16)), the engine automatically Compact()s.
 /// kOnlineBfs/kOnlineDfs/kBidirectional only need the CSR; kJoinIndex
 /// needs the whole stack and fails with kFailedPrecondition if it is
 /// missing.
@@ -425,8 +426,10 @@ class AccessControlEngine {
   /// and the per-op (generation, overlay_version) stamp — identical to
   /// the stamp op i's WAL record carries. Errors are isolated per op
   /// (a bad op fails only its own outcome) except a failed WAL append,
-  /// which overwrites every previously-OK outcome in the batch.
-  void ApplyWriteBatch(std::span<const WriteOp> ops, WriteOutcome* outcomes);
+  /// which overwrites every previously-OK outcome in the batch. Returns
+  /// the time spent in each stage (see WriteQueueStats).
+  WriteStageNanos ApplyWriteBatch(std::span<const WriteOp> ops,
+                                  WriteOutcome* outcomes);
   /// The engine's one mutation body: resolves the label, stages one op
   /// (no WAL write, no publish), fills `out->node` for kAddNode, appends
   /// the op's WAL record to `wal_batch` (when non-null) and journals the

@@ -160,15 +160,15 @@ std::shared_ptr<const PolicySnapshot> PolicySnapshot::WithAutoPicks(
 AccessReadView::AccessReadView(const SocialGraph& graph,
                                std::shared_ptr<const SnapshotIndexes> idx,
                                std::shared_ptr<const PolicySnapshot> policy,
-                               const DeltaOverlay& overlay,
+                               DeltaOverlay overlay,
                                const EngineOptions& options,
                                uint64_t snapshot_generation)
     : graph_(&graph),
       options_(options),
       idx_(std::move(idx)),
       policy_(std::move(policy)),
-      overlay_(overlay),
-      overlay_empty_(overlay.empty()),
+      overlay_(std::move(overlay)),
+      overlay_empty_(overlay_.empty()),
       logical_num_nodes_(LogicalNumNodes(idx_->csr, &overlay_)),
       snapshot_generation_(snapshot_generation) {
   // Per-view evaluator instances are pointer bundles over the shared
@@ -203,11 +203,11 @@ AccessReadView::AccessReadView(const SocialGraph& graph,
 
 std::shared_ptr<const AccessReadView> AccessReadView::Create(
     const SocialGraph& graph, std::shared_ptr<const SnapshotIndexes> idx,
-    std::shared_ptr<const PolicySnapshot> policy, const DeltaOverlay& overlay,
+    std::shared_ptr<const PolicySnapshot> policy, DeltaOverlay overlay,
     const EngineOptions& options, uint64_t snapshot_generation) {
   return std::shared_ptr<const AccessReadView>(
-      new AccessReadView(graph, std::move(idx), std::move(policy), overlay,
-                         options, snapshot_generation));
+      new AccessReadView(graph, std::move(idx), std::move(policy),
+                         std::move(overlay), options, snapshot_generation));
 }
 
 Result<AccessDecision> AccessReadView::CheckAccess(

@@ -13,7 +13,9 @@
 ///   * a `PolicySnapshot` (resource table + eagerly bound, compiled
 ///     rules), shared across views until the policy store changes;
 ///   * a frozen copy of the DeltaOverlay as of publication, so staged
-///     mutations are visible without any synchronization;
+///     mutations are visible without any synchronization. The copy
+///     shares the writer's copy-on-write shards (DeltaOverlay::Freeze),
+///     so publishing costs O(shards), not O(overlay);
 ///   * per-view evaluator instances wired to the three pieces above
 ///     (cheap: evaluators are pointer bundles).
 ///
@@ -241,13 +243,14 @@ struct PolicySnapshot {
 /// additionally records the decision in the audit ring).
 class AccessReadView {
  public:
-  /// Freezes `overlay` (by copy) against the given bundles and wires the
+  /// Pairs `overlay` — a frozen copy (DeltaOverlay::Freeze) that shares
+  /// its shards with the writer's — with the given bundles and wires the
   /// per-view evaluator instances. `graph` must outlive the view; the
   /// view reads only its node count and attribute columns (see the
   /// thread-safety contract in access_engine.h).
   static std::shared_ptr<const AccessReadView> Create(
       const SocialGraph& graph, std::shared_ptr<const SnapshotIndexes> idx,
-      std::shared_ptr<const PolicySnapshot> policy, const DeltaOverlay& overlay,
+      std::shared_ptr<const PolicySnapshot> policy, DeltaOverlay overlay,
       const EngineOptions& options, uint64_t snapshot_generation);
 
   AccessReadView(const AccessReadView&) = delete;
@@ -309,7 +312,7 @@ class AccessReadView {
   AccessReadView(const SocialGraph& graph,
                  std::shared_ptr<const SnapshotIndexes> idx,
                  std::shared_ptr<const PolicySnapshot> policy,
-                 const DeltaOverlay& overlay, const EngineOptions& options,
+                 DeltaOverlay overlay, const EngineOptions& options,
                  uint64_t snapshot_generation);
 
   /// The serving evaluator for `kind`: the prefilter wrapper when the

@@ -1,5 +1,6 @@
 #include "engine/write_queue.h"
 
+#include <chrono>
 #include <utility>
 #include <vector>
 
@@ -145,7 +146,10 @@ void MutationQueue::WriterLoop() {
     // The group commit: one mutation_mu_ acquisition, one WAL batch
     // append (one fsync), one published view for the whole batch.
     outcomes.assign(ops.size(), WriteOutcome{});
-    engine_->ApplyWriteBatch(ops, outcomes.data());
+    const auto start = std::chrono::steady_clock::now();
+    const WriteStageNanos ns = engine_->ApplyWriteBatch(ops, outcomes.data());
+    const auto batch_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        std::chrono::steady_clock::now() - start);
     for (size_t i = 0; i < states.size(); ++i) {
       Complete(states[i], std::move(outcomes[i]));
     }
@@ -153,6 +157,10 @@ void MutationQueue::WriterLoop() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       applying_ = false;
+      stats_.batch_ns += static_cast<uint64_t>(batch_ns.count());
+      stats_.stage_ns += ns.stage;
+      stats_.wal_ns += ns.wal;
+      stats_.publish_ns += ns.publish;
     }
     drained_.notify_all();
   }

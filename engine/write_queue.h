@@ -7,8 +7,9 @@
 ///
 /// The queue is the engine's only write path: every AddEdge / RemoveEdge
 /// / AddNode / RefreshPolicies, from any number of threads, becomes a
-/// queued op, and the WAL fsync and the O(overlay) view republication
-/// are paid once per batch rather than once per mutation:
+/// queued op, and the WAL fsync and the view republication (which shares
+/// the overlay's copy-on-write shards, see delta_overlay.h) are paid once
+/// per batch rather than once per mutation:
 ///
 ///   * **Submission** — SubmitX() from any thread copies the operation
 ///     into a bounded MPSC queue and returns a WriteTicket immediately.
@@ -127,6 +128,16 @@ struct MutationQueueOptions {
   size_t max_batch = 512;
 };
 
+/// Writer time one group-commit batch spent in each of its stages.
+struct WriteStageNanos {
+  /// Staging every op into the overlay (and building its WAL record).
+  uint64_t stage = 0;
+  /// The batch's one WAL append and fsync (0 when not durable).
+  uint64_t wal = 0;
+  /// Compaction kick, policy refresh and view publication.
+  uint64_t publish = 0;
+};
+
 /// Relaxed counters for tests and the bench (read with stats()).
 struct WriteQueueStats {
   /// Ops accepted into the queue.
@@ -140,6 +151,13 @@ struct WriteQueueStats {
   uint64_t batches = 0;
   /// Largest batch drained so far.
   uint64_t max_batch_seen = 0;
+  /// Cumulative writer wall time inside the engine's batch body, in ns,
+  /// and its split into stages. The stages exclude the wait for the
+  /// writer lock, so they add up to at most batch_ns.
+  uint64_t batch_ns = 0;
+  uint64_t stage_ns = 0;
+  uint64_t wal_ns = 0;
+  uint64_t publish_ns = 0;
 };
 
 /// The MPSC queue + writer thread. Owned by AccessControlEngine; the

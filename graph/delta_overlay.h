@@ -8,12 +8,13 @@
 /// A CsrSnapshot never observes graph mutations; before this subsystem,
 /// every AddEdge/RemoveEdge forced a full RebuildIndexes (the cost model
 /// bench_dynamic.cc charts). The overlay closes that gap: it records the
-/// *difference* between the snapshot and the logical graph as per-label
-/// added/removed edge sets, materialized in both orientations, and the
-/// traversal evaluators merge it into neighbor iteration on the fly
-/// (see ForEachNeighborEdge below). A mutation is then an O(1) hash
-/// update; the snapshot is merged and rebuilt only when the overlay
-/// exceeds a compaction threshold (AccessControlEngine::Compact).
+/// *difference* between the snapshot and the logical graph as
+/// per-(node, label) added and removed endpoint lists, kept in both
+/// orientations, and the traversal evaluators merge it into neighbor
+/// iteration on the fly (see ForEachNeighborEdge below). A mutation
+/// updates one list per orientation; the snapshot is merged and rebuilt
+/// only when the overlay exceeds a compaction threshold
+/// (AccessControlEngine::Compact).
 ///
 /// The overlay is *relative to one snapshot*: a staged add must not
 /// duplicate a live base edge, and a staged remove must name a live base
@@ -32,19 +33,34 @@
 /// alone (they have no base entries). Staged nodes have no attributes
 /// until compaction, so attribute-filtered steps treat them as unset.
 ///
+/// Copy-on-write sharing: the four adjacency maps (added/removed, out/in) are
+/// each split into kShards copy-on-write shards held by shared_ptr.
+/// Freeze() returns a copy that shares every shard — O(kShards)
+/// pointer copies, independent of how much is staged — and leaves this
+/// overlay owning none of them; the next mutation of a shard clones it
+/// first (one flat copy of that shard's entries), so a frozen copy
+/// never changes after Freeze() returns. A group-commit batch therefore
+/// publishes in O(batch + kShards), not O(overlay).
+///
 /// Thread-safety and snapshot-consistency contract: the overlay is NOT
 /// internally synchronized. Readers (evaluators mid-query) and writers
-/// (Stage*/Unstage*/Clear) must be externally serialized — a mutation
-/// racing a traversal is a data race, and a mutation between two queries
-/// of one CheckAccess would make its rule disjunction evaluate against
-/// two different logical graphs. `version()` increments on every
-/// successful staging change, so callers can detect overlay churn between
-/// reads; generation counters on the engine cover snapshot swaps.
+/// (Stage*/Unstage*/Clear/Freeze) of one DeltaOverlay object must be
+/// externally serialized — a mutation racing a traversal is a data race,
+/// and a mutation between two queries of one CheckAccess would make its
+/// rule disjunction evaluate against two different logical graphs.
+/// Distinct objects are independent even when they share shards: any
+/// number of threads may read a frozen copy while its source keeps
+/// staging, because the writer only ever writes shards it cloned after
+/// the last Freeze(). `version()` increments on every successful staging
+/// change, so callers can detect overlay churn between reads; generation
+/// counters on the engine cover snapshot swaps.
 
+#include <algorithm>
+#include <array>
+#include <bitset>
 #include <cstdint>
+#include <memory>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/types.h"
@@ -67,6 +83,18 @@ class DeltaOverlay {
     LabelId label = kInvalidLabel;
     bool operator==(const EdgeTriple&) const = default;
   };
+
+  DeltaOverlay() = default;
+  DeltaOverlay(DeltaOverlay&&) noexcept = default;
+  DeltaOverlay& operator=(DeltaOverlay&&) noexcept = default;
+  /// Copies go through Freeze(), which must write the source.
+  DeltaOverlay(const DeltaOverlay&) = delete;
+  DeltaOverlay& operator=(const DeltaOverlay&) = delete;
+
+  /// A copy sharing every shard with this overlay, which from here on
+  /// clones a shard before its first write to it. The copy itself owns
+  /// no shard either, so it never writes into one it shares.
+  DeltaOverlay Freeze();
 
   // ---- Staging (engine-facing) --------------------------------------------
 
@@ -96,10 +124,10 @@ class DeltaOverlay {
   }
 
   bool IsStagedAdd(NodeId src, NodeId dst, LabelId label) const {
-    return added_.contains(EdgeTriple{src, dst, label});
+    return Contains(AddedOut(src, label), dst);
   }
   bool IsStagedRemove(NodeId src, NodeId dst, LabelId label) const {
-    return removed_.contains(EdgeTriple{src, dst, label});
+    return IsRemoved(src, dst, label);
   }
 
   /// Drops every staged mutation (after the engine folded them into a
@@ -111,87 +139,148 @@ class DeltaOverlay {
   /// True when the base edge src -[label]-> dst is pending-removed and
   /// must be skipped during neighbor iteration.
   bool IsRemoved(NodeId src, NodeId dst, LabelId label) const {
-    return removed_.contains(EdgeTriple{src, dst, label});
+    return Contains(RemovedOut(src, label), dst);
   }
 
   /// Pending-added out-neighbors w of `node` (edges node -[label]-> w).
   /// Unordered; stable until the next staging change.
   std::span<const NodeId> AddedOut(NodeId node, LabelId label) const {
-    return AdjSpan(added_out_, node, label);
+    return added_out_.Find(node, label);
   }
 
   /// Pending-added in-neighbors w of `node` (edges w -[label]-> node).
   std::span<const NodeId> AddedIn(NodeId node, LabelId label) const {
-    return AdjSpan(added_in_, node, label);
+    return added_in_.Find(node, label);
+  }
+
+  /// Pending-removed base out-neighbors w of `node`.
+  std::span<const NodeId> RemovedOut(NodeId node, LabelId label) const {
+    return removed_out_.Find(node, label);
+  }
+
+  /// Pending-removed base in-neighbors w of `node`.
+  std::span<const NodeId> RemovedIn(NodeId node, LabelId label) const {
+    return removed_in_.Find(node, label);
   }
 
   // ---- Introspection / compaction -----------------------------------------
 
-  size_t NumAdded() const { return added_.size(); }
-  size_t NumRemoved() const { return removed_.size(); }
+  size_t NumAdded() const { return num_added_; }
+  size_t NumRemoved() const { return num_removed_; }
   /// Staged node additions past the snapshot (see StageNode).
   size_t num_staged_nodes() const { return staged_nodes_; }
   /// Total staged mutations — the compaction-threshold metric.
-  size_t size() const {
-    return added_.size() + removed_.size() + staged_nodes_;
-  }
-  bool empty() const {
-    return added_.empty() && removed_.empty() && staged_nodes_ == 0;
-  }
+  size_t size() const { return NumAdded() + NumRemoved() + staged_nodes_; }
+  bool empty() const { return size() == 0; }
 
   /// Any pending additions? While true, "index says unreachable" proofs
   /// over the base snapshot are invalid (an added edge may connect).
-  bool has_insertions() const { return !added_.empty(); }
+  bool has_insertions() const { return NumAdded() != 0; }
   /// Any pending removals? While true, "index says reachable" proofs
   /// over the base snapshot are invalid (the witness path may be gone).
-  bool has_deletions() const { return !removed_.empty(); }
+  bool has_deletions() const { return NumRemoved() != 0; }
 
   /// Monotonic counter, bumped by every successful staging change and by
   /// Clear() on a non-empty overlay.
   uint64_t version() const { return version_; }
 
-  /// Enumeration for compaction; fn(const EdgeTriple&). Unordered.
+  /// Enumeration for compaction; fn(const EdgeTriple&). The order is
+  /// arbitrary but fixed for one object that is not mutated, which is
+  /// what lets a build predict the edge ids a later fold assigns.
   template <typename Fn>
   void ForEachAdded(Fn&& fn) const {
-    for (const EdgeTriple& t : added_) fn(t);
+    added_out_.ForEach(fn);
   }
   template <typename Fn>
   void ForEachRemoved(Fn&& fn) const {
-    for (const EdgeTriple& t : removed_) fn(t);
+    removed_out_.ForEach(fn);
   }
 
-  size_t MemoryBytes() const;
-
  private:
-  struct TripleHash {
-    size_t operator()(const EdgeTriple& t) const {
-      uint64_t h = (static_cast<uint64_t>(t.src) << 32) ^
-                   (static_cast<uint64_t>(t.dst) << 16) ^ t.label;
-      h *= 0x9e3779b97f4a7c15ULL;
-      return static_cast<size_t>(h ^ (h >> 29));
+  static constexpr int kShardBits = 6;
+  static constexpr size_t kShards = size_t{1} << kShardBits;
+
+  /// One shard of a (node, label) -> endpoint-list map, laid out flat so
+  /// a copy-on-write clone is a few contiguous copies: the keys in
+  /// ascending order and each key's endpoint list packed back to back,
+  /// list i ending at ends[i]. `filter` holds one bit per key hash, so a
+  /// lookup of an absent key — nearly every lookup — stops at one word
+  /// instead of searching `keys`.
+  struct Shard {
+    std::array<uint64_t, 8> filter{};
+    std::vector<uint64_t> keys;
+    std::vector<uint32_t> ends;
+    std::vector<NodeId> ids;
+
+    static uint32_t FilterBit(uint64_t key) {
+      return static_cast<uint32_t>((key * 0xff51afd7ed558ccdULL) >> 55);
+    }
+    bool MayHold(uint64_t key) const {
+      const uint32_t bit = FilterBit(key);
+      return ((filter[bit >> 6] >> (bit & 63)) & 1) != 0;
+    }
+    void Mark(uint64_t key) {
+      const uint32_t bit = FilterBit(key);
+      filter[bit >> 6] |= uint64_t{1} << (bit & 63);
     }
   };
-  using TripleSet = std::unordered_set<EdgeTriple, TripleHash>;
-  /// (node, label) -> unordered endpoint list; key packs node and label.
-  using AdjMap = std::unordered_map<uint64_t, std::vector<NodeId>>;
+
+  /// A sharded adjacency map. A null shard is empty; `owned` marks the
+  /// shards this object may write in place (cloned since the last
+  /// Freeze, so no other object shares them).
+  struct ShardedAdj {
+    std::array<std::shared_ptr<Shard>, kShards> shards;
+    std::bitset<kShards> owned;
+
+    std::span<const NodeId> Find(NodeId node, LabelId label) const;
+    /// Appends `other` to (node, label)'s list unless already present.
+    bool Insert(NodeId node, LabelId label, NodeId other);
+    /// Erases `other` from (node, label)'s list; false when absent.
+    bool Erase(NodeId node, LabelId label, NodeId other);
+    /// Shard `s`, cloned first unless owned.
+    Shard& Writable(size_t s);
+    /// A map sharing every shard; this one then owns none of them.
+    ShardedAdj Share();
+
+    template <typename Fn>
+    void ForEach(Fn& fn) const {
+      for (const auto& shard : shards) {
+        if (shard == nullptr) continue;
+        uint32_t begin = 0;
+        for (size_t i = 0; i < shard->keys.size(); ++i) {
+          const auto node = static_cast<NodeId>(shard->keys[i] >> 16);
+          const auto label = static_cast<LabelId>(shard->keys[i] & 0xffff);
+          for (uint32_t j = begin; j < shard->ends[i]; ++j) {
+            fn(EdgeTriple{node, shard->ids[j], label});
+          }
+          begin = shard->ends[i];
+        }
+      }
+    }
+  };
 
   static uint64_t AdjKey(NodeId node, LabelId label) {
     return (static_cast<uint64_t>(node) << 16) | label;
   }
-  static std::span<const NodeId> AdjSpan(const AdjMap& map, NodeId node,
-                                         LabelId label) {
-    auto it = map.find(AdjKey(node, label));
-    if (it == map.end()) return {};
-    return {it->second.data(), it->second.size()};
+  /// Node-based shard choice (Fibonacci hashing), so every label of one
+  /// node lands in one shard.
+  static size_t ShardOf(NodeId node) {
+    return static_cast<uint32_t>(node * 0x9e3779b9u) >> (32 - kShardBits);
   }
-  static void AdjErase(AdjMap& map, NodeId node, LabelId label, NodeId other);
+  static bool Contains(std::span<const NodeId> list, NodeId w) {
+    return std::find(list.begin(), list.end(), w) != list.end();
+  }
 
-  TripleSet added_;
-  TripleSet removed_;
-  AdjMap added_out_;
-  AdjMap added_in_;
+  // The counters come first: empty() runs once per neighbor expansion,
+  // and here it reads one cache line.
+  size_t num_added_ = 0;
+  size_t num_removed_ = 0;
   uint32_t staged_nodes_ = 0;
   uint64_t version_ = 0;
+  ShardedAdj added_out_;
+  ShardedAdj added_in_;
+  ShardedAdj removed_out_;
+  ShardedAdj removed_in_;
 
   friend class AccessControlEngine;  // version continuity across compaction
   friend struct storage::StorageAccess;
@@ -239,11 +328,12 @@ inline bool ForEachNeighborEdge(const CsrSnapshot& csr,
     }
     return false;
   }
-  const bool check_removed = overlay->has_deletions();
+  // One removed-list lookup per expansion, not a probe per base edge.
+  const auto removed = backward ? overlay->RemovedIn(node, label)
+                                : overlay->RemovedOut(node, label);
   for (const CsrSnapshot::Entry& e : entries) {
-    if (check_removed &&
-        (backward ? overlay->IsRemoved(e.other, node, label)
-                  : overlay->IsRemoved(node, e.other, label))) {
+    if (!removed.empty() &&
+        std::find(removed.begin(), removed.end(), e.other) != removed.end()) {
       continue;
     }
     if (fn(e.other)) return true;

@@ -148,12 +148,15 @@ void StorageAccess::SaveClosure(const TransitiveClosure& c, BlobWriter& w) {
 
 void StorageAccess::SaveOverlay(const DeltaOverlay& o, BlobWriter& w) {
   // Triples as columns (EdgeTriple has padding); adjacency maps are
-  // rebuilt by re-staging on load. Set iteration order is arbitrary but
+  // rebuilt by re-staging on load. Enumeration order is arbitrary but
   // consistent within one save, which is all replay needs.
-  std::vector<DeltaOverlay::EdgeTriple> added(o.added_.begin(),
-                                              o.added_.end());
-  std::vector<DeltaOverlay::EdgeTriple> removed(o.removed_.begin(),
-                                                o.removed_.end());
+  std::vector<DeltaOverlay::EdgeTriple> added;
+  std::vector<DeltaOverlay::EdgeTriple> removed;
+  added.reserve(o.NumAdded());
+  removed.reserve(o.NumRemoved());
+  o.ForEachAdded([&](const DeltaOverlay::EdgeTriple& t) { added.push_back(t); });
+  o.ForEachRemoved(
+      [&](const DeltaOverlay::EdgeTriple& t) { removed.push_back(t); });
   w.PutU64(added.size());
   for (const auto& t : added) w.PutU32(t.src);
   for (const auto& t : added) w.PutU32(t.dst);

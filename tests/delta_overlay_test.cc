@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -101,6 +109,310 @@ TEST(DeltaOverlay, ForEachNeighborEdgeMergesBaseAndDelta) {
     return true;
   }));
   EXPECT_EQ(seen, 1);
+}
+
+// ---- Frozen copies vs a std::set mirror --------------------------------------
+
+/// The logical content one overlay should hold: its two triple sets, the
+/// staged node count and the version, maintained by the staging rules.
+struct OverlayMirror {
+  using Triple = std::tuple<NodeId, NodeId, LabelId>;
+  std::set<Triple> added;
+  std::set<Triple> removed;
+  uint32_t staged_nodes = 0;
+  uint64_t version = 0;
+
+  size_t size() const { return added.size() + removed.size() + staged_nodes; }
+};
+
+using Adjacency = std::map<std::pair<NodeId, LabelId>, std::vector<NodeId>>;
+
+/// The mirror's (node, label) lists, sorted: out-lists key on the
+/// source, in-lists on the destination.
+Adjacency MirrorAdjacency(const std::set<OverlayMirror::Triple>& triples,
+                          bool in) {
+  Adjacency adj;
+  for (const auto& [s, d, l] : triples) {
+    adj[{in ? d : s, l}].push_back(in ? s : d);
+  }
+  for (auto& [key, list] : adj) std::sort(list.begin(), list.end());
+  return adj;
+}
+
+std::vector<NodeId> Sorted(std::span<const NodeId> span) {
+  std::vector<NodeId> v(span.begin(), span.end());
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+std::vector<OverlayMirror::Triple> Enumerated(const DeltaOverlay& ov,
+                                              bool added) {
+  std::vector<OverlayMirror::Triple> out;
+  auto push = [&](const DeltaOverlay::EdgeTriple& t) {
+    out.emplace_back(t.src, t.dst, t.label);
+  };
+  if (added) {
+    ov.ForEachAdded(push);
+  } else {
+    ov.ForEachRemoved(push);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Every observable of `ov` against `m`, over nodes [0, num_nodes) and
+/// labels [0, num_labels).
+void ExpectOverlayMatchesMirror(const DeltaOverlay& ov, const OverlayMirror& m,
+                                NodeId num_nodes, LabelId num_labels,
+                                const std::string& what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(ov.size(), m.size());
+  EXPECT_EQ(ov.NumAdded(), m.added.size());
+  EXPECT_EQ(ov.NumRemoved(), m.removed.size());
+  EXPECT_EQ(ov.num_staged_nodes(), m.staged_nodes);
+  EXPECT_EQ(ov.version(), m.version);
+  EXPECT_EQ(ov.empty(), m.size() == 0);
+  EXPECT_EQ(ov.has_insertions(), !m.added.empty());
+  EXPECT_EQ(ov.has_deletions(), !m.removed.empty());
+
+  const Adjacency added_out = MirrorAdjacency(m.added, false);
+  const Adjacency added_in = MirrorAdjacency(m.added, true);
+  const Adjacency removed_out = MirrorAdjacency(m.removed, false);
+  const Adjacency removed_in = MirrorAdjacency(m.removed, true);
+  auto expected = [](const Adjacency& adj, NodeId v, LabelId l) {
+    auto it = adj.find({v, l});
+    return it == adj.end() ? std::vector<NodeId>{} : it->second;
+  };
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    for (LabelId l = 0; l < num_labels; ++l) {
+      ASSERT_EQ(Sorted(ov.AddedOut(v, l)), expected(added_out, v, l))
+          << "AddedOut " << v << "/" << l;
+      ASSERT_EQ(Sorted(ov.AddedIn(v, l)), expected(added_in, v, l))
+          << "AddedIn " << v << "/" << l;
+      ASSERT_EQ(Sorted(ov.RemovedOut(v, l)), expected(removed_out, v, l))
+          << "RemovedOut " << v << "/" << l;
+      ASSERT_EQ(Sorted(ov.RemovedIn(v, l)), expected(removed_in, v, l))
+          << "RemovedIn " << v << "/" << l;
+    }
+  }
+  for (const auto& [s, d, l] : m.added) ASSERT_TRUE(ov.IsStagedAdd(s, d, l));
+  for (const auto& [s, d, l] : m.removed) {
+    ASSERT_TRUE(ov.IsStagedRemove(s, d, l));
+    ASSERT_TRUE(ov.IsRemoved(s, d, l));
+  }
+  // Negative membership over a fixed probe grid.
+  for (NodeId s = 0; s < num_nodes; s += 7) {
+    for (NodeId d = 0; d < num_nodes; d += 5) {
+      for (LabelId l = 0; l < num_labels; ++l) {
+        ASSERT_EQ(ov.IsStagedAdd(s, d, l), m.added.contains({s, d, l}));
+        ASSERT_EQ(ov.IsRemoved(s, d, l), m.removed.contains({s, d, l}));
+      }
+    }
+  }
+  const std::vector<OverlayMirror::Triple> want_added(m.added.begin(),
+                                                      m.added.end());
+  const std::vector<OverlayMirror::Triple> want_removed(m.removed.begin(),
+                                                        m.removed.end());
+  EXPECT_EQ(Enumerated(ov, true), want_added);
+  EXPECT_EQ(Enumerated(ov, false), want_removed);
+}
+
+// The copy-on-write contract: a frozen copy never changes after
+// Freeze(), however much its source stages afterwards into the shards
+// they share. Hub-skewed endpoints give long lists and crowded shards.
+TEST(DeltaOverlay, FrozenCopiesMatchMirrorUnderChurn) {
+  constexpr NodeId kNodes = 256;
+  constexpr LabelId kLabels = 3;
+  constexpr size_t kOps = 24000;
+  constexpr size_t kFreezeEvery = 300;
+  Rng rng(2024);
+  auto node = [&] {
+    return static_cast<NodeId>(rng.NextBool(0.4) ? rng.NextBounded(8)
+                                                 : rng.NextBounded(kNodes));
+  };
+  auto triple = [&] {
+    return OverlayMirror::Triple{node(), node(),
+                                 static_cast<LabelId>(rng.NextBounded(kLabels))};
+  };
+  auto pick = [&](const std::set<OverlayMirror::Triple>& set) {
+    return *std::next(set.begin(),
+                      static_cast<ptrdiff_t>(rng.NextBounded(set.size())));
+  };
+
+  DeltaOverlay live;
+  OverlayMirror mirror;
+  std::vector<std::pair<DeltaOverlay, OverlayMirror>> frozen;
+  size_t freeze_at = rng.NextBounded(kFreezeEvery);
+  for (size_t op = 0; op < kOps; ++op) {
+    if (op == freeze_at) {
+      frozen.emplace_back(live.Freeze(), mirror);
+      freeze_at = (op / kFreezeEvery + 1) * kFreezeEvery +
+                  rng.NextBounded(kFreezeEvery);
+    }
+    if (op == kOps / 2) {  // one Clear mid-run; copies must not notice
+      if (mirror.size() != 0) ++mirror.version;
+      mirror.added.clear();
+      mirror.removed.clear();
+      mirror.staged_nodes = 0;
+      live.Clear();
+      continue;
+    }
+    const uint64_t kind = rng.NextBounded(100);
+    if (kind < 30) {
+      const auto t = triple();
+      const bool fresh = mirror.added.insert(t).second;
+      ASSERT_EQ(live.StageAdd(std::get<0>(t), std::get<1>(t), std::get<2>(t)),
+                fresh);
+      mirror.version += fresh;
+    } else if (kind < 48) {
+      const auto t = (!mirror.added.empty() && rng.NextBool(0.8))
+                         ? pick(mirror.added)
+                         : triple();
+      const bool hit = mirror.added.erase(t) == 1;
+      ASSERT_EQ(
+          live.UnstageAdd(std::get<0>(t), std::get<1>(t), std::get<2>(t)),
+          hit);
+      mirror.version += hit;
+    } else if (kind < 73) {
+      const auto t = triple();
+      const bool fresh = mirror.removed.insert(t).second;
+      ASSERT_EQ(
+          live.StageRemove(std::get<0>(t), std::get<1>(t), std::get<2>(t)),
+          fresh);
+      mirror.version += fresh;
+    } else if (kind < 90) {
+      const auto t = (!mirror.removed.empty() && rng.NextBool(0.8))
+                         ? pick(mirror.removed)
+                         : triple();
+      const bool hit = mirror.removed.erase(t) == 1;
+      ASSERT_EQ(
+          live.UnstageRemove(std::get<0>(t), std::get<1>(t), std::get<2>(t)),
+          hit);
+      mirror.version += hit;
+    } else if (kind < 95) {
+      // Re-stage something already staged: must be a no-op.
+      if (!mirror.added.empty()) {
+        const auto t = pick(mirror.added);
+        ASSERT_FALSE(
+            live.StageAdd(std::get<0>(t), std::get<1>(t), std::get<2>(t)));
+      }
+    } else {
+      ASSERT_EQ(live.StageNode(), mirror.staged_nodes);
+      ++mirror.staged_nodes;
+      ++mirror.version;
+    }
+  }
+  ASSERT_GE(frozen.size(), 64u);
+  for (size_t i = 0; i < frozen.size(); ++i) {
+    ExpectOverlayMatchesMirror(frozen[i].first, frozen[i].second, kNodes,
+                               kLabels, "frozen copy " + std::to_string(i));
+    if (HasFatalFailure()) return;
+  }
+  ExpectOverlayMatchesMirror(live, mirror, kNodes, kLabels, "live overlay");
+}
+
+// Readers walk frozen copies with ForEachNeighborEdge while the writer
+// keeps staging into shards those copies still share. Each copy's
+// neighbor digest, taken by the writer right after Freeze(), must come
+// out the same on every reader pass (and TSan must see no race).
+TEST(DeltaOverlay, ReadersOnFrozenCopiesVsWriter) {
+  auto gen = GenerateErdosRenyi(
+      {.base = {.num_nodes = 400, .seed = 31}, .avg_out_degree = 3.0});
+  ASSERT_TRUE(gen.ok());
+  const SocialGraph g = std::move(*gen);
+  const CsrSnapshot csr = CsrSnapshot::Build(g);
+  const auto num_nodes = static_cast<NodeId>(g.NumNodes());
+  const auto num_labels = static_cast<LabelId>(g.labels().size());
+
+  auto digest = [&](const DeltaOverlay& ov) {
+    uint64_t h = 1469598103934665603ULL;
+    for (NodeId v = 0; v < num_nodes; ++v) {
+      for (LabelId l = 0; l < num_labels; ++l) {
+        for (bool backward : {false, true}) {
+          ForEachNeighborEdge(csr, &ov, v, l, backward, [&](NodeId w) {
+            h = (h ^ w) * 1099511628211ULL;
+            return false;
+          });
+          h = (h ^ 0xff) * 1099511628211ULL;
+        }
+      }
+    }
+    return h;
+  };
+
+  struct Published {
+    DeltaOverlay overlay;
+    uint64_t digest;
+  };
+  std::mutex mu;
+  std::shared_ptr<const Published> current;
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> passes{0};
+  std::atomic<uint64_t> mismatches{0};
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        std::shared_ptr<const Published> p;
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          p = current;
+        }
+        if (p == nullptr) continue;
+        if (digest(p->overlay) != p->digest) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+        passes.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  DeltaOverlay live;
+  Rng rng(77);
+  constexpr size_t kOps = 6000;
+  for (size_t op = 0; op < kOps; ++op) {
+    const auto s = static_cast<NodeId>(rng.NextBounded(num_nodes));
+    const auto d = static_cast<NodeId>(rng.NextBounded(num_nodes));
+    const auto l = static_cast<LabelId>(rng.NextBounded(num_labels));
+    switch (rng.NextBounded(4)) {
+      case 0:
+        live.StageAdd(s, d, l);
+        break;
+      case 1:
+        live.UnstageAdd(s, d, l);
+        break;
+      case 2: {  // mask a live base edge of s, if it has one
+        const auto out = csr.OutWithLabel(s, l);
+        if (!out.empty()) {
+          live.StageRemove(s, out[rng.NextBounded(out.size())].other, l);
+        }
+        break;
+      }
+      default: {
+        const auto out = csr.OutWithLabel(s, l);
+        if (!out.empty()) {
+          live.UnstageRemove(s, out[rng.NextBounded(out.size())].other, l);
+        }
+        break;
+      }
+    }
+    if (op % 25 == 0) {
+      DeltaOverlay frozen = live.Freeze();
+      const uint64_t h = digest(frozen);
+      auto p = std::make_shared<const Published>(
+          Published{std::move(frozen), h});
+      std::lock_guard<std::mutex> lock(mu);
+      current = std::move(p);
+    }
+  }
+  // Let the readers finish at least one pass on the last copy too.
+  const uint64_t seen = passes.load();
+  while (passes.load() < seen + 3) std::this_thread::yield();
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GT(passes.load(), 3u);
 }
 
 // ---- Engine mutations -------------------------------------------------------

@@ -324,6 +324,31 @@ TEST(WriteQueueGroupCommit, OneFsyncPerBatch) {
   EXPECT_EQ(engine.wal_sync_count() - syncs_mid, 10u);
 }
 
+// The writer's stage timers: after durable writes every stage has
+// accumulated time, and the stages (which exclude the writer-lock wait)
+// never add up to more than the batch wall time they split.
+TEST(WriteQueueStats, StageTimersSplitBatchWallTime) {
+  TempDir dir;
+  SocialGraph g = MakeDiamond();
+  PolicyStore store = MakeStore();
+  AccessControlEngine engine(g, store);
+  ASSERT_TRUE(engine.RebuildIndexes().ok());
+  ASSERT_TRUE(engine.EnableDurability(dir.path()).ok());
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(engine
+                    .AddEdge(static_cast<NodeId>(i % 6),
+                             static_cast<NodeId>((i + 1) % 6),
+                             "tag" + std::to_string(i))
+                    .ok());
+  }
+  const WriteQueueStats s = engine.write_queue().stats();
+  EXPECT_EQ(s.batches, 8u);
+  EXPECT_GT(s.stage_ns, 0u);
+  EXPECT_GT(s.wal_ns, 0u);
+  EXPECT_GT(s.publish_ns, 0u);
+  EXPECT_LE(s.stage_ns + s.wal_ns + s.publish_ns, s.batch_ns);
+}
+
 // ---- Randomized multi-producer interleaving vs a serial mirror --------------
 
 // The acceptance oracle: M producers hammer the queue concurrently with
