@@ -85,13 +85,6 @@ void RunEngineBench(benchmark::State& state, EngineOptions options,
       static_cast<double>(grants), benchmark::Counter::kAvgIterations);
 }
 
-void BM_EngineAuto(benchmark::State& state) {
-  EngineOptions o;
-  o.evaluator = EvaluatorChoice::kAuto;
-  RunEngineBench(state, o);
-}
-BENCHMARK(BM_EngineAuto)->Arg(1000)->Arg(4000)->Arg(16000);
-
 void BM_EngineOnlineBfs(benchmark::State& state) {
   EngineOptions o;
   o.evaluator = EvaluatorChoice::kOnlineBfs;
@@ -106,18 +99,15 @@ void BM_EngineJoinIndex(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineJoinIndex)->Arg(1000)->Arg(4000)->Arg(16000);
 
-void BM_EngineAutoWithPrefilter(benchmark::State& state) {
+void BM_EngineWithPrefilter(benchmark::State& state) {
   EngineOptions o;
-  o.evaluator = EvaluatorChoice::kAuto;
   o.use_closure_prefilter = true;
   RunEngineBench(state, o);
 }
-BENCHMARK(BM_EngineAutoWithPrefilter)->Arg(1000)->Arg(4000)->Arg(16000);
+BENCHMARK(BM_EngineWithPrefilter)->Arg(1000)->Arg(4000)->Arg(16000);
 
 void BM_EngineWithWitness(benchmark::State& state) {
-  EngineOptions o;
-  o.evaluator = EvaluatorChoice::kAuto;
-  RunEngineBench(state, o, /*want_witness=*/true);
+  RunEngineBench(state, EngineOptions{}, /*want_witness=*/true);
 }
 BENCHMARK(BM_EngineWithWitness)->Arg(4000);
 

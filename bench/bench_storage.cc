@@ -3,14 +3,16 @@
 /// The storage/ subsystem's pitch is that a restart is an mmap + verify
 /// + adopt, never an index computation. This bench pins that:
 ///
-///  * BM_ColdStartRebuild: the baseline — construct an engine over the
-///    already-loaded graph and RebuildIndexes() (CSR, line graph,
-///    oracle, cluster index, base tables);
+///  * BM_ColdStartRebuild: the baseline — construct a default engine
+///    over the already-loaded graph and RebuildIndexes() (the CSR alone:
+///    the default configuration builds no join stack);
 ///  * BM_ColdStartOpenFromDir: the durable path — OpenFromDir() over a
 ///    saved bundle plus a WAL tail of kTailMutations records (load,
 ///    checksum-verify every section, adopt, replay). The
-///    `speedup_vs_rebuild` counter at 256k nodes is the subsystem's
-///    ≥5x acceptance series; `bundle_bytes` tracks on-disk size;
+///    `speedup_vs_rebuild` counter tracks the open against that rebuild:
+///    1.8x at 256k nodes on a 4-vCPU Xeon (median of 3 runs; it was
+///    5.8x while the default rebuild also built the join stack);
+///    `bundle_bytes` tracks on-disk size;
 ///  * BM_SaveSnapshot: writer-observed SaveSnapshot() latency (the
 ///    serialize + atomic-publish cost compaction pays off the serving
 ///    path).
@@ -127,7 +129,7 @@ void BM_ColdStartOpenFromDir(benchmark::State& state) {
   state.counters["bundle_bytes"] = static_cast<double>(setup.bundle_bytes);
   state.counters["wal_tail_records"] = static_cast<double>(kTailMutations);
   // One extra untimed cold start against the one-shot rebuild measured
-  // at setup: the ≥5x acceptance counter (at 256k nodes).
+  // at setup.
   const auto t0 = std::chrono::steady_clock::now();
   {
     SocialGraph g;

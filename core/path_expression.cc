@@ -140,16 +140,6 @@ uint64_t BoundPathExpression::MaxPathLength() const {
   return total;
 }
 
-uint64_t BoundPathExpression::ExpansionCount() const {
-  uint64_t count = 1;
-  constexpr uint64_t kCap = uint64_t{1} << 32;
-  for (const BoundStep& s : steps_) {
-    count *= (s.max_hops - s.min_hops + 1);
-    if (count > kCap) return kCap;
-  }
-  return count;
-}
-
 bool BoundPathExpression::NodePasses(const SocialGraph& g, NodeId node,
                                      const BoundStep& step) {
   for (const BoundCondition& c : step.conditions) {

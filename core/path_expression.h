@@ -116,10 +116,6 @@ class BoundPathExpression {
   /// Upper bound on matching path length: sum of max_hops.
   uint64_t MaxPathLength() const;
 
-  /// Number of concrete label sequences the expression expands to:
-  /// product over steps of (max - min + 1). Saturates at 2^32.
-  uint64_t ExpansionCount() const;
-
   /// True when `node` satisfies `step`'s filter in graph `g`.
   /// Missing attributes fail the filter (closed-world).
   static bool NodePasses(const SocialGraph& g, NodeId node,

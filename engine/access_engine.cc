@@ -128,7 +128,7 @@ bool AccessControlEngine::RefreshPolicySnapshotIfStale() {
       policy_->source_num_rules == store_->NumRules()) {
     return false;
   }
-  policy_ = PolicySnapshot::Build(*store_, *graph_, *idx_, options_);
+  policy_ = PolicySnapshot::Build(*store_, *graph_);
   return true;
 }
 
@@ -152,9 +152,8 @@ Status AccessControlEngine::RebuildIndexesLocked() {
   if (!idx.ok()) return idx.status();
   idx_ = std::move(*idx);
   // Unconditional policy rebuild: fresh dictionary entries (labels
-  // interned since the last build) may fix previously failed binds, and
-  // auto picks depend on the new bundle.
-  policy_ = PolicySnapshot::Build(*store_, *graph_, *idx_, options_);
+  // interned since the last build) may fix previously failed binds.
+  policy_ = PolicySnapshot::Build(*store_, *graph_);
   built_ = true;
   snapshot_generation_.fetch_add(1, std::memory_order_release);
   RecomputeEffectiveThreshold();
@@ -521,6 +520,7 @@ void AccessControlEngine::StartBackgroundCompactionLocked() {
   // in the overlay's size); the writer clones a shard on its next write.
   job.frozen = overlay_.Freeze();
   job.first_new_edge = static_cast<EdgeId>(graph_->EdgeSlotCount());
+  job.num_labels = graph_->labels().size();
   building_ = true;
   journal_.clear();
   {
@@ -559,11 +559,9 @@ AccessControlEngine::FinishCompactionLocked(
   full_compactions_ += 1;
   last_compaction_status_ = OkStatus();
 
-  // Auto picks depend on the new bundle; recompute them from the frozen
-  // policy snapshot WITHOUT touching the store (rule registration on
-  // the user's thread must not race this thread — store changes surface
-  // at the next external write-path publish).
-  policy_ = PolicySnapshot::WithAutoPicks(*policy_, *idx_, options_);
+  // policy_ is reused unchanged: the compaction thread must not read
+  // the store (rule registration on the user's thread would race it);
+  // store changes surface at the next external write-path publish.
   RecomputeEffectiveThreshold();
   PublishView();
 
@@ -590,6 +588,7 @@ AccessControlEngine::FinishCompactionLocked(
   CompactionJob next;
   next.frozen = overlay_.Freeze();
   next.first_new_edge = static_cast<EdgeId>(graph_->EdgeSlotCount());
+  next.num_labels = graph_->labels().size();
   building_ = true;
   journal_.clear();
   return next;
@@ -612,8 +611,8 @@ void AccessControlEngine::CompactionWorker() {
     // journaling) mutations, readers keep serving published views. The
     // graph object is stable during the build — staging never writes
     // it, and only this thread folds.
-    auto bundle = SnapshotIndexes::BuildMerged(*graph_, job.frozen,
-                                               job.first_new_edge, options_);
+    auto bundle = SnapshotIndexes::BuildMerged(
+        *graph_, job.frozen, job.first_new_edge, job.num_labels, options_);
     std::optional<CompactionJob> next;
     {
       std::lock_guard<std::mutex> lock(mutation_mu_);
@@ -794,9 +793,8 @@ Result<std::unique_ptr<AccessControlEngine>> AccessControlEngine::OpenFromDir(
 
   // The bundle only holds what the saving configuration built; an
   // opening configuration that needs more must rebuild from scratch.
-  const bool needs_join = options.evaluator == EvaluatorChoice::kAuto ||
-                          options.evaluator == EvaluatorChoice::kJoinIndex;
-  if (needs_join && (loaded.flags & storage::kFlagJoinBuilt) == 0) {
+  if (options.evaluator == EvaluatorChoice::kJoinIndex &&
+      (loaded.flags & storage::kFlagJoinBuilt) == 0) {
     return Status::FailedPrecondition(
         "OpenFromDir: options need the join stack but the bundle was saved "
         "without it");
@@ -823,8 +821,7 @@ Result<std::unique_ptr<AccessControlEngine>> AccessControlEngine::OpenFromDir(
     engine->overlay_ = std::move(loaded.overlay);
     engine->snapshot_generation_.store(loaded.stamp.generation,
                                        std::memory_order_release);
-    engine->policy_ =
-        PolicySnapshot::Build(store, *graph, *engine->idx_, options);
+    engine->policy_ = PolicySnapshot::Build(store, *graph);
     engine->built_ = true;
     engine->RecomputeEffectiveThreshold();
     engine->PublishView();

@@ -32,9 +32,10 @@
 /// overlay exceeds the effective compaction threshold
 /// (EngineOptions::compact_threshold; the default scales as
 /// max(1024, |E|/16)), the engine automatically Compact()s.
-/// kOnlineBfs/kOnlineDfs/kBidirectional only need the CSR; kJoinIndex
-/// needs the whole stack and fails with kFailedPrecondition if it is
-/// missing.
+/// The default kOnlineBfs (and kOnlineDfs/kBidirectional) only need the
+/// CSR. The join stack is built only when kJoinIndex is the configured
+/// default; a request forcing kJoinIndex on an engine without it fails
+/// with kFailedPrecondition.
 ///
 /// Compaction model (double-buffered, see docs/ARCHITECTURE.md):
 /// `Compact()` — explicit or threshold-triggered — freezes a copy of the
@@ -56,8 +57,8 @@
 /// overlay is non-empty, (a) its traversal evaluators merge the overlay
 /// into every neighbor expansion, (b) index-based pruning runs in
 /// conservative mode (pending insertions suspend closure fast-denies —
-/// see index/prefilter_validity.h), and (c) requests whose compiled plan
-/// picked the join index are re-routed to overlay-aware online search,
+/// see index/prefilter_validity.h), and (c) requests for the join
+/// index are re-routed to overlay-aware online search,
 /// so every evaluator keeps returning the same grant/deny. Mutating the
 /// SocialGraph directly (rather than through the engine) breaks this
 /// pairing; call RebuildIndexes again if you must.
@@ -125,15 +126,14 @@
 /// the stamps off a view.
 ///
 /// Policy binding happens at publication, keyed by stable RuleId: every
-/// rule path is bound, its hop automaton compiled, and its automatic
-/// evaluator pick computed once per PolicySnapshot (see read_view.h), so
-/// the request path performs no PathExpression::ToString(), Bind, or
-/// evaluator construction — only array lookups. Rules added to the
-/// store after the last publish are invisible to served decisions until
-/// the next *external* write-path call republishes (any mutation does,
-/// or call RefreshPolicies() explicitly; a compaction completion
-/// deliberately reuses the frozen policy snapshot — with
-/// refreshed automatic picks — rather than racing the store).
+/// rule path is bound and its hop automaton compiled once per
+/// PolicySnapshot (see read_view.h), so the request path performs no
+/// PathExpression::ToString(), Bind, or evaluator construction — only
+/// array lookups. Rules added to the store after the last publish are
+/// invisible to served decisions until the next *external* write-path
+/// call republishes (any mutation does, or call RefreshPolicies()
+/// explicitly; a compaction completion deliberately reuses the frozen
+/// policy snapshot unchanged rather than racing the store).
 
 #include <atomic>
 #include <condition_variable>
@@ -405,6 +405,7 @@ class AccessControlEngine {
   struct CompactionJob {
     DeltaOverlay frozen;
     EdgeId first_new_edge = 0;
+    size_t num_labels = 0;  // label dictionary size at freeze time
   };
 
   /// Builds a view from the current bundles + overlay and publishes it

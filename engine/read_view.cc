@@ -18,57 +18,12 @@ namespace {
 /// request (see CheckAccessBatch).
 constexpr size_t kBatchAudienceCutoff = 4;
 
-/// Maps a request-level choice onto a concrete kind, using the path's
-/// precomputed automatic pick for kAuto.
-EvaluatorKind KindForChoice(EvaluatorChoice choice, EvaluatorKind auto_pick) {
-  switch (choice) {
-    case EvaluatorChoice::kAuto:
-      return auto_pick;
-    case EvaluatorChoice::kOnlineBfs:
-      return EvaluatorKind::kOnlineBfs;
-    case EvaluatorChoice::kOnlineDfs:
-      return EvaluatorKind::kOnlineDfs;
-    case EvaluatorChoice::kBidirectional:
-      return EvaluatorKind::kBidirectional;
-    case EvaluatorChoice::kJoinIndex:
-      return EvaluatorKind::kJoinIndex;
-  }
-  return EvaluatorKind::kOnlineBfs;
-}
-
-/// The kAuto policy from the paper's deployment advice: the join index
-/// wins on point queries unless it was never built, the expression needs
-/// an orientation the line graph lacks, or it expands combinatorially.
-EvaluatorKind AutoPick(const BoundPathExpression& expr,
-                       const SnapshotIndexes& idx,
-                       const EngineOptions& options) {
-  if (!idx.join_built) return EvaluatorKind::kOnlineBfs;
-  if (expr.HasBackwardStep() && !idx.lg.includes_backward()) {
-    return EvaluatorKind::kOnlineBfs;
-  }
-  if (expr.ExpansionCount() > options.auto_max_expansions) {
-    return EvaluatorKind::kOnlineBfs;
-  }
-  return EvaluatorKind::kJoinIndex;
-}
-
-}  // namespace
-
-namespace {
-
-/// The join-index stack (line graph, oracle, cluster index, tables) is
-/// by far the heaviest build; skip it entirely for online-only
-/// configurations, which only need the CSR.
-bool NeedJoinStack(const EngineOptions& options) {
-  return options.evaluator == EvaluatorChoice::kAuto ||
-         options.evaluator == EvaluatorChoice::kJoinIndex;
-}
-
 /// Finishes a bundle whose csr is already in place: the join stack
-/// (line graph, oracle, cluster index, base tables) when the evaluator
-/// needs it, and the closure when the prefilter is on.
+/// (line graph, oracle, cluster index, base tables) — by far the
+/// heaviest build — only when kJoinIndex is the configured default, and
+/// the closure when the prefilter is on.
 Status FinishBundle(SnapshotIndexes& idx, const EngineOptions& options) {
-  if (NeedJoinStack(options)) {
+  if (options.evaluator == EvaluatorChoice::kJoinIndex) {
     idx.lg = LineGraph::Build(
         idx.csr, {.include_backward = options.line_graph_backward});
     auto oracle = LineReachabilityOracle::Build(idx.lg);
@@ -92,6 +47,8 @@ Status FinishBundle(SnapshotIndexes& idx, const EngineOptions& options) {
 
 Result<std::shared_ptr<const SnapshotIndexes>> SnapshotIndexes::Build(
     const SocialGraph& graph, const EngineOptions& options) {
+  SARGUS_RETURN_IF_ERROR(
+      CsrSnapshot::CheckKeyBudget(graph.NumNodes(), graph.labels().size()));
   auto idx = std::make_shared<SnapshotIndexes>();
   idx->csr = CsrSnapshot::Build(graph);
   SARGUS_RETURN_IF_ERROR(FinishBundle(*idx, options));
@@ -100,7 +57,9 @@ Result<std::shared_ptr<const SnapshotIndexes>> SnapshotIndexes::Build(
 
 Result<std::shared_ptr<const SnapshotIndexes>> SnapshotIndexes::BuildMerged(
     const SocialGraph& graph, const DeltaOverlay& overlay,
-    EdgeId first_new_edge, const EngineOptions& options) {
+    EdgeId first_new_edge, size_t num_labels, const EngineOptions& options) {
+  SARGUS_RETURN_IF_ERROR(CsrSnapshot::CheckKeyBudget(
+      graph.NumNodes() + overlay.num_staged_nodes(), num_labels));
   auto idx = std::make_shared<SnapshotIndexes>();
   idx->csr = CsrSnapshot::Build(graph, overlay, first_new_edge);
   SARGUS_RETURN_IF_ERROR(FinishBundle(*idx, options));
@@ -108,8 +67,7 @@ Result<std::shared_ptr<const SnapshotIndexes>> SnapshotIndexes::BuildMerged(
 }
 
 std::shared_ptr<const PolicySnapshot> PolicySnapshot::Build(
-    const PolicyStore& store, const SocialGraph& graph,
-    const SnapshotIndexes& idx, const EngineOptions& options) {
+    const PolicyStore& store, const SocialGraph& graph) {
   auto policy = std::make_shared<PolicySnapshot>();
   policy->source_num_resources = store.NumResources();
   policy->source_num_rules = store.NumRules();
@@ -131,27 +89,8 @@ std::shared_ptr<const PolicySnapshot> PolicySnapshot::Build(
       } else {
         cp.bound =
             std::make_shared<const BoundPathExpression>(std::move(*bound));
-        cp.auto_pick = AutoPick(*cp.bound, idx, options);
       }
       rule.paths.push_back(std::move(cp));
-    }
-  }
-  return policy;
-}
-
-std::shared_ptr<const PolicySnapshot> PolicySnapshot::WithAutoPicks(
-    const PolicySnapshot& prev, const SnapshotIndexes& idx,
-    const EngineOptions& options) {
-  auto policy = std::make_shared<PolicySnapshot>();
-  policy->source_num_resources = prev.source_num_resources;
-  policy->source_num_rules = prev.source_num_rules;
-  policy->resources = prev.resources;
-  policy->rules = prev.rules;  // shares the bound expressions
-  for (CompiledRule& rule : policy->rules) {
-    for (CompiledPath& path : rule.paths) {
-      if (path.bound != nullptr) {
-        path.auto_pick = AutoPick(*path.bound, idx, options);
-      }
     }
   }
   return policy;
@@ -174,10 +113,10 @@ AccessReadView::AccessReadView(const SocialGraph& graph,
   // Per-view evaluator instances are pointer bundles over the shared
   // immutable structures plus this view's frozen overlay; building them
   // per publication is a handful of small allocations.
-  auto& bfs = base_[static_cast<size_t>(EvaluatorKind::kOnlineBfs)];
-  auto& dfs = base_[static_cast<size_t>(EvaluatorKind::kOnlineDfs)];
-  auto& bidi = base_[static_cast<size_t>(EvaluatorKind::kBidirectional)];
-  auto& join = base_[static_cast<size_t>(EvaluatorKind::kJoinIndex)];
+  auto& bfs = base_[static_cast<size_t>(EvaluatorChoice::kOnlineBfs)];
+  auto& dfs = base_[static_cast<size_t>(EvaluatorChoice::kOnlineDfs)];
+  auto& bidi = base_[static_cast<size_t>(EvaluatorChoice::kBidirectional)];
+  auto& join = base_[static_cast<size_t>(EvaluatorChoice::kJoinIndex)];
   bfs = std::make_unique<OnlineEvaluator>(*graph_, idx_->csr,
                                           TraversalOrder::kBfs, &overlay_);
   dfs = std::make_unique<OnlineEvaluator>(*graph_, idx_->csr,
@@ -191,7 +130,7 @@ AccessReadView::AccessReadView(const SocialGraph& graph,
                                                 options_.join_options);
   }
   if (idx_->closure != nullptr) {
-    for (size_t i = 0; i < kNumEvaluatorKinds; ++i) {
+    for (size_t i = 0; i < kNumEvaluatorChoices; ++i) {
       if (base_[i] == nullptr) continue;
       // Overlay-aware wrapper: the prefilter self-suspends its fast-deny
       // while pending insertions make closure pruning unsound.
@@ -252,8 +191,15 @@ Result<AccessDecision> AccessReadView::CheckResolved(
     return decision;
   }
 
-  const EvaluatorChoice choice =
+  // The join index answers over the snapshot alone; while the overlay
+  // is non-empty those answers are stale, so a join choice falls through
+  // to overlay-aware online search until Compact().
+  EvaluatorChoice choice =
       request.evaluator_override.value_or(options_.evaluator);
+  if (!overlay_empty_ && choice == EvaluatorChoice::kJoinIndex) {
+    choice = EvaluatorChoice::kOnlineBfs;
+  }
+  const Evaluator* chosen = Serving(choice);
 
   // A rule set is a disjunction: one expression failing to evaluate
   // (unsupported orientation, work cap) must not mask a grant another
@@ -267,14 +213,6 @@ Result<AccessDecision> AccessReadView::CheckResolved(
         if (!first_error) first_error = path.bind_status;
         continue;
       }
-      EvaluatorKind kind = KindForChoice(choice, path.auto_pick);
-      // The join index answers over the snapshot alone; while the
-      // overlay is non-empty those answers are stale, so join picks
-      // fall through to overlay-aware online search until Compact().
-      if (!overlay_empty_ && kind == EvaluatorKind::kJoinIndex) {
-        kind = EvaluatorKind::kOnlineBfs;
-      }
-      const Evaluator* chosen = Serving(kind);
       if (chosen == nullptr) {
         if (!first_error) {
           first_error = Status::FailedPrecondition(

@@ -7,9 +7,10 @@
 /// The serving model is RCU-style snapshot publication. A view is a
 /// frozen bundle of everything one CheckAccess needs:
 ///
-///   * a `SnapshotIndexes` (CSR + line graph + oracle + cluster index +
-///     base tables + closure), shared across views until the next
-///     RebuildIndexes/Compact;
+///   * a `SnapshotIndexes` (the CSR; plus the join stack — line graph,
+///     oracle, cluster index, base tables — only under kJoinIndex, and
+///     the closure only with the prefilter), shared across views until
+///     the next RebuildIndexes/Compact;
 ///   * a `PolicySnapshot` (resource table + eagerly bound, compiled
 ///     rules), shared across views until the policy store changes;
 ///   * a frozen copy of the DeltaOverlay as of publication, so staged
@@ -62,32 +63,33 @@ namespace sargus {
 
 struct EvalContext;
 
+/// Which evaluator decides a request. Also the index of the view's
+/// evaluator arrays, so the values stay dense from 0.
 enum class EvaluatorChoice {
-  /// Join index when built and the expression expands modestly; online
-  /// BFS otherwise. The paper's deployment advice, codified.
-  kAuto,
+  /// The product walker over the CSR, breadth first: the default.
   kOnlineBfs,
   kOnlineDfs,
   kBidirectional,
+  /// The paper's precomputed join over per-label hop tables. Its index
+  /// stack is built only when this is the engine's configured default.
   kJoinIndex,
 };
+inline constexpr size_t kNumEvaluatorChoices =
+    static_cast<size_t>(EvaluatorChoice::kJoinIndex) + 1;
 
 /// Build-time engine configuration. Everything request-scoped (witness,
 /// evaluator override) lives on AccessRequest instead.
 struct EngineOptions {
   /// Default evaluator for requests that carry no override. Also decides
-  /// which indexes RebuildIndexes constructs (kAuto/kJoinIndex build the
-  /// full join stack; online-only choices skip it).
-  EvaluatorChoice evaluator = EvaluatorChoice::kAuto;
+  /// which indexes RebuildIndexes constructs: only kJoinIndex builds the
+  /// join stack; the online choices need the CSR alone.
+  EvaluatorChoice evaluator = EvaluatorChoice::kOnlineBfs;
   /// Build an (undirected) transitive closure and use it as a fast-deny
   /// prefilter in front of the chosen evaluator.
   bool use_closure_prefilter = false;
   /// Build the line graph with backward orientations (required when any
   /// policy uses `label-[a,b]` steps and the join index may serve it).
   bool line_graph_backward = false;
-  /// kAuto sends expressions expanding beyond this many line queries to
-  /// online search instead of the join index.
-  uint64_t auto_max_expansions = 64;
   JoinIndexOptions join_options;
   /// Decisions kept in the engine's audit ring (0 disables auditing —
   /// and with it the only lock on the engine's CheckAccess facade).
@@ -112,21 +114,18 @@ struct EngineOptions {
       std::numeric_limits<size_t>::max();
 };
 
-/// One access-control question, fully self-describing. Replaces the old
-/// positional CheckAccess(requester, resource) plus global
-/// EngineOptions::want_witness.
+/// One access-control question, fully self-describing.
 struct AccessRequest {
   NodeId requester = 0;
   ResourceId resource = 0;
   /// Ask for a witness path on grants. May cost extra; per request, not
   /// per engine.
   bool want_witness = false;
-  /// Force a specific evaluator for this request (kAuto re-runs the
-  /// automatic pick). Unset uses the engine's configured default. A
-  /// forced kJoinIndex on a configuration that never built the join
-  /// stack surfaces kFailedPrecondition; while the overlay is non-empty
-  /// join picks still re-route to overlay-aware online search so every
-  /// evaluator keeps agreeing.
+  /// Force a specific evaluator for this request. Unset uses the
+  /// engine's configured default. A forced kJoinIndex on a configuration
+  /// that never built the join stack surfaces kFailedPrecondition when
+  /// nothing grants; while the overlay is non-empty kJoinIndex re-routes
+  /// to overlay-aware online BFS so every evaluator keeps agreeing.
   std::optional<EvaluatorChoice> evaluator_override;
 };
 
@@ -150,16 +149,6 @@ struct AccessDecision {
   uint64_t overlay_version = 0;
 };
 
-/// Which concrete evaluator a compiled path resolved to. Indexes the
-/// view's evaluator arrays.
-enum class EvaluatorKind : uint8_t {
-  kOnlineBfs = 0,
-  kOnlineDfs = 1,
-  kBidirectional = 2,
-  kJoinIndex = 3,
-};
-inline constexpr size_t kNumEvaluatorKinds = 4;
-
 /// The immutable index bundle one RebuildIndexes produces. Shared (via
 /// shared_ptr) by every view published until the next rebuild; nothing
 /// in it is written after Build returns.
@@ -174,7 +163,9 @@ struct SnapshotIndexes {
   bool join_built = false;
 
   /// Builds the bundle the configuration needs (the join stack only for
-  /// kAuto/kJoinIndex, the closure only when the prefilter is on).
+  /// kJoinIndex, the closure only when the prefilter is on). Fails with
+  /// kResourceExhausted when the graph's nodes x interned labels exceed
+  /// the CSR's key budget (CsrSnapshot::kMaxKeys).
   static Result<std::shared_ptr<const SnapshotIndexes>> Build(
       const SocialGraph& graph, const EngineOptions& options);
 
@@ -183,14 +174,16 @@ struct SnapshotIndexes {
   /// frozen inputs. `first_new_edge` is the id the fold will assign the
   /// overlay's first staged addition (the graph's EdgeSlotCount() at
   /// freeze time), so the bundle is identical to Build() after the fold.
+  /// `num_labels` is the graph's dictionary size at freeze time (the
+  /// writer may intern more while this runs); it and the logical node
+  /// count are checked against the CSR's key budget as in Build().
   static Result<std::shared_ptr<const SnapshotIndexes>> BuildMerged(
       const SocialGraph& graph, const DeltaOverlay& overlay,
-      EdgeId first_new_edge, const EngineOptions& options);
+      EdgeId first_new_edge, size_t num_labels, const EngineOptions& options);
 };
 
 /// The immutable policy bundle: the resource table plus every rule
-/// bound, its automaton compiled, and its automatic evaluator pick
-/// precomputed. Built at publish time; shared by every view until the
+/// bound and its automaton compiled. Built at publish time; shared by every view until the
 /// PolicyStore grows (rule/resource counts are the staleness key).
 /// Binding is against the SocialGraph's dictionaries, which only grow,
 /// so a policy snapshot stays valid across overlay churn and
@@ -202,9 +195,6 @@ struct PolicySnapshot {
     /// can surface it only when nothing grants.
     Status bind_status = OkStatus();
     std::shared_ptr<const BoundPathExpression> bound;
-    /// What kAuto resolves to for this path (join index when built and
-    /// affordable, online BFS otherwise).
-    EvaluatorKind auto_pick = EvaluatorKind::kOnlineBfs;
   };
   struct CompiledRule {
     std::vector<CompiledPath> paths;
@@ -222,18 +212,7 @@ struct PolicySnapshot {
   size_t source_num_rules = 0;
 
   static std::shared_ptr<const PolicySnapshot> Build(
-      const PolicyStore& store, const SocialGraph& graph,
-      const SnapshotIndexes& idx, const EngineOptions& options);
-
-  /// Clone of `prev` with every path's automatic evaluator pick
-  /// recomputed against a new index bundle — what a background
-  /// compaction publishes. Deliberately does NOT touch the PolicyStore
-  /// (the compaction thread must not race rule registration on the
-  /// user's thread), so binds that failed in `prev` stay failed until
-  /// the next store-refreshing publish (any external write-path call).
-  static std::shared_ptr<const PolicySnapshot> WithAutoPicks(
-      const PolicySnapshot& prev, const SnapshotIndexes& idx,
-      const EngineOptions& options);
+      const PolicyStore& store, const SocialGraph& graph);
 };
 
 /// An immutable, reference-counted serving snapshot. See the file
@@ -315,11 +294,11 @@ class AccessReadView {
                  DeltaOverlay overlay, const EngineOptions& options,
                  uint64_t snapshot_generation);
 
-  /// The serving evaluator for `kind`: the prefilter wrapper when the
+  /// The serving evaluator for `choice`: the prefilter wrapper when the
   /// closure is configured, the base evaluator otherwise. Null when the
-  /// kind's index was never built (join on an online-only config).
-  const Evaluator* Serving(EvaluatorKind kind) const {
-    const auto i = static_cast<size_t>(kind);
+  /// choice's index was never built (join on an online-only config).
+  const Evaluator* Serving(EvaluatorChoice choice) const {
+    const auto i = static_cast<size_t>(choice);
     return prefiltered_[i] != nullptr ? prefiltered_[i].get() : base_[i].get();
   }
 
@@ -351,8 +330,8 @@ class AccessReadView {
   size_t logical_num_nodes_ = 0;
   uint64_t snapshot_generation_ = 0;
 
-  std::array<std::unique_ptr<Evaluator>, kNumEvaluatorKinds> base_;
-  std::array<std::unique_ptr<Evaluator>, kNumEvaluatorKinds> prefiltered_;
+  std::array<std::unique_ptr<Evaluator>, kNumEvaluatorChoices> base_;
+  std::array<std::unique_ptr<Evaluator>, kNumEvaluatorChoices> prefiltered_;
 };
 
 }  // namespace sargus

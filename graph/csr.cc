@@ -1,51 +1,71 @@
 #include "graph/csr.h"
 
 #include <algorithm>
+#include <string>
 
 #include "graph/delta_overlay.h"
 
 namespace sargus {
+
+Status CsrSnapshot::CheckKeyBudget(size_t num_nodes, size_t num_labels) {
+  if (num_labels == 0 || num_nodes <= kMaxKeys / num_labels) {
+    return OkStatus();
+  }
+  return Status::ResourceExhausted(
+      "csr: " + std::to_string(num_nodes) + " nodes x " +
+      std::to_string(num_labels) + " labels exceeds the " +
+      std::to_string(kMaxKeys) + " (node, label) key budget");
+}
 
 CsrSnapshot CsrSnapshot::FromEdgeList(size_t num_nodes,
                                       const std::vector<Edge>& logical,
                                       const std::vector<EdgeId>& ids) {
   CsrSnapshot snap;
   snap.num_nodes_ = num_nodes;
-  snap.out_offsets_.assign(num_nodes + 1, 0);
-  snap.in_offsets_.assign(num_nodes + 1, 0);
-
-  // Counting pass.
   for (const Edge& rec : logical) {
-    ++snap.out_offsets_[rec.src + 1];
-    ++snap.in_offsets_[rec.dst + 1];
+    snap.num_labels_ = std::max<size_t>(snap.num_labels_, rec.label + 1);
   }
-  for (size_t v = 0; v < num_nodes; ++v) {
-    snap.out_offsets_[v + 1] += snap.out_offsets_[v];
-    snap.in_offsets_[v + 1] += snap.in_offsets_[v];
+  const size_t labels = snap.num_labels_;
+  const size_t num_keys = num_nodes * labels;
+  // Counting pass into off[key + 2], so that after the prefix sum
+  // off[key + 1] is the start of key `key` and serves as its fill
+  // cursor: once filled it has advanced to the start of key + 1, which
+  // leaves the final offsets in place with no cursor copy.
+  snap.out_offsets_.assign(num_keys + 2, 0);
+  snap.in_offsets_.assign(num_keys + 2, 0);
+  for (const Edge& rec : logical) {
+    ++snap.out_offsets_[rec.src * labels + rec.label + 2];
+    ++snap.in_offsets_[rec.dst * labels + rec.label + 2];
   }
-
-  // Fill pass (cursor copies of the offsets).
+  for (size_t k = 2; k < num_keys + 2; ++k) {
+    snap.out_offsets_[k] += snap.out_offsets_[k - 1];
+    snap.in_offsets_[k] += snap.in_offsets_[k - 1];
+  }
   snap.out_entries_.resize(logical.size());
   snap.in_entries_.resize(logical.size());
-  std::vector<uint32_t> out_cursor(snap.out_offsets_.begin(),
-                                   snap.out_offsets_.end() - 1);
-  std::vector<uint32_t> in_cursor(snap.in_offsets_.begin(),
-                                  snap.in_offsets_.end() - 1);
   for (size_t i = 0; i < logical.size(); ++i) {
     const Edge& rec = logical[i];
-    snap.out_entries_[out_cursor[rec.src]++] = {rec.dst, rec.label, ids[i]};
-    snap.in_entries_[in_cursor[rec.dst]++] = {rec.src, rec.label, ids[i]};
+    snap.out_entries_[snap.out_offsets_[rec.src * labels + rec.label + 1]++] =
+        {rec.dst, rec.label, ids[i]};
+    snap.in_entries_[snap.in_offsets_[rec.dst * labels + rec.label + 1]++] = {
+        rec.src, rec.label, ids[i]};
   }
+  snap.out_offsets_.pop_back();
+  snap.in_offsets_.pop_back();
 
-  // Sort each node's range by label (then endpoint for determinism).
-  auto by_label = [](const Entry& a, const Entry& b) {
+  // Sort each node's range by (label, endpoint), for determinism: one
+  // sort per node rather than per (node, label) key keeps this pass
+  // independent of the alphabet size.
+  auto by_label_other = [](const Entry& a, const Entry& b) {
     return a.label != b.label ? a.label < b.label : a.other < b.other;
   };
-  for (size_t v = 0; v < num_nodes; ++v) {
-    std::sort(snap.out_entries_.begin() + snap.out_offsets_[v],
-              snap.out_entries_.begin() + snap.out_offsets_[v + 1], by_label);
-    std::sort(snap.in_entries_.begin() + snap.in_offsets_[v],
-              snap.in_entries_.begin() + snap.in_offsets_[v + 1], by_label);
+  for (size_t n = 0; n < num_nodes; ++n) {
+    const size_t lo = n * labels, hi = (n + 1) * labels;
+    std::sort(snap.out_entries_.begin() + snap.out_offsets_[lo],
+              snap.out_entries_.begin() + snap.out_offsets_[hi],
+              by_label_other);
+    std::sort(snap.in_entries_.begin() + snap.in_offsets_[lo],
+              snap.in_entries_.begin() + snap.in_offsets_[hi], by_label_other);
   }
   return snap;
 }
@@ -90,17 +110,6 @@ CsrSnapshot CsrSnapshot::Build(const SocialGraph& g,
   });
   return FromEdgeList(g.NumNodes() + overlay.num_staged_nodes(), logical,
                       ids);
-}
-
-std::span<const CsrSnapshot::Entry> CsrSnapshot::LabelRange(
-    std::span<const Entry> all, LabelId label) {
-  auto lo = std::lower_bound(
-      all.begin(), all.end(), label,
-      [](const Entry& e, LabelId l) { return e.label < l; });
-  auto hi = std::upper_bound(
-      all.begin(), all.end(), label,
-      [](LabelId l, const Entry& e) { return l < e.label; });
-  return {lo, hi};
 }
 
 }  // namespace sargus

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/checksum.h"
+#include "engine/read_view.h"
 
 namespace sargus::wire {
 namespace {
@@ -224,13 +225,19 @@ void PutCheckRequestBody(ByteWriter& w, const CheckRequest& m) {
   w.U8(m.evaluator_override);
 }
 
-CheckRequest TakeCheckRequestBody(ByteReader& r) {
+Result<CheckRequest> TakeCheckRequestBody(ByteReader& r) {
   CheckRequest m;
   m.requester = r.U32();
   m.resource = r.U32();
   m.want_witness = r.U8();
   m.has_evaluator_override = r.U8();
   m.evaluator_override = r.U8();
+  // The view indexes its evaluator table by the choice.
+  if (m.has_evaluator_override != 0 &&
+      m.evaluator_override >= kNumEvaluatorChoices) {
+    return Status::InvalidArgument("wire: unknown evaluator " +
+                                   std::to_string(m.evaluator_override));
+  }
   return m;
 }
 
@@ -304,7 +311,7 @@ Result<CheckRequest> DecodeCheckRequest(std::span<const uint8_t> bytes) {
                           CheckFrame(bytes));
   ByteReader r(body);
   SARGUS_RETURN_IF_ERROR(TakeHeader(r, MsgType::kCheckRequest));
-  CheckRequest m = TakeCheckRequestBody(r);
+  SARGUS_ASSIGN_OR_RETURN(CheckRequest m, TakeCheckRequestBody(r));
   SARGUS_RETURN_IF_ERROR(CheckTail(r));
   return m;
 }
@@ -343,7 +350,10 @@ Result<BatchCheckRequest> DecodeBatchCheckRequest(
   BatchCheckRequest m;
   const uint32_t n = r.Count(11);
   m.requests.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) m.requests.push_back(TakeCheckRequestBody(r));
+  for (uint32_t i = 0; i < n; ++i) {
+    SARGUS_ASSIGN_OR_RETURN(CheckRequest req, TakeCheckRequestBody(r));
+    m.requests.push_back(req);
+  }
   SARGUS_RETURN_IF_ERROR(CheckTail(r));
   return m;
 }

@@ -27,7 +27,10 @@
 /// v1 had no trailing checksum and no kErrorFrame; v2 added both (the
 /// checksum is what turns a corrupted frame into a clean kInvalidArgument
 /// instead of a silently misread message — see the fault-injection
-/// transport in shard/transport.h).
+/// transport in shard/transport.h); v3 renumbered
+/// CheckRequest::evaluator_override when EvaluatorChoice lost its kAuto
+/// value (0 is now kOnlineBfs), so a v2 frame is refused rather than
+/// served by a different evaluator.
 ///
 /// Identifier convention: node, label, resource, rule and automaton
 /// state ids in wire messages are GLOBAL — every shard graph keeps the
@@ -50,7 +53,7 @@
 namespace sargus::wire {
 
 inline constexpr uint32_t kMagic = 0x57524753;  // "SGRW", little-endian
-inline constexpr uint32_t kProtocolVersion = 2;
+inline constexpr uint32_t kProtocolVersion = 3;
 
 enum class MsgType : uint8_t {
   kCheckRequest = 1,
@@ -99,7 +102,8 @@ struct CheckRequest {
   ResourceId resource = 0;
   uint8_t want_witness = 0;
   uint8_t has_evaluator_override = 0;
-  /// EvaluatorChoice as an integer (valid when has_evaluator_override).
+  /// EvaluatorChoice as an integer (valid when has_evaluator_override;
+  /// decoding rejects a value past kJoinIndex with kInvalidArgument).
   uint8_t evaluator_override = 0;
   bool operator==(const CheckRequest&) const = default;
 };

@@ -64,6 +64,7 @@ void StorageAccess::SaveGraph(const SocialGraph& g, BlobWriter& w) {
 
 void StorageAccess::SaveCsr(const CsrSnapshot& csr, BlobWriter& w) {
   w.PutU64(csr.num_nodes_);
+  w.PutU64(csr.num_labels_);
   w.PutVec(csr.out_offsets_);
   // Entry has 2 padding bytes -> columns.
   w.PutU64(csr.out_entries_.size());

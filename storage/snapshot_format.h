@@ -61,7 +61,7 @@ inline constexpr char kSnapshotFileName[] = "snapshot.sargus";
 inline constexpr char kWalFileName[] = "wal.log";
 
 inline constexpr uint64_t kBundleMagic = 0x3150414E53475253ULL;  // "SRGSNAP1"
-inline constexpr uint32_t kBundleVersion = 2;
+inline constexpr uint32_t kBundleVersion = 3;
 inline constexpr uint32_t kBundlePageSize = 4096;
 /// Fixed header fields end here; section table entries follow.
 inline constexpr size_t kBundleSectionTableOffset = 64;

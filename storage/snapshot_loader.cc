@@ -87,6 +87,7 @@ Status StorageAccess::LoadGraph(BlobReader& r, SocialGraph* g) {
 
 Status StorageAccess::LoadCsr(BlobReader& r, CsrSnapshot* csr) {
   csr->num_nodes_ = r.GetU64();
+  csr->num_labels_ = r.GetU64();
   r.GetVec(&csr->out_offsets_);
   const uint64_t num_out = r.GetU64();
   if (!r.ok() || num_out > r.Remaining() / sizeof(uint32_t)) {
@@ -105,8 +106,14 @@ Status StorageAccess::LoadCsr(BlobReader& r, CsrSnapshot* csr) {
   for (auto& e : csr->in_entries_) e.other = r.GetU32();
   for (auto& e : csr->in_entries_) e.label = r.GetU16();
   for (auto& e : csr->in_entries_) e.edge = r.GetU32();
-  if (csr->out_offsets_.size() != csr->num_nodes_ + 1 ||
-      csr->in_offsets_.size() != csr->num_nodes_ + 1) {
+  // One offset per (node, label) key, plus the end. Bounding both
+  // counts first keeps their product from wrapping on a corrupt section.
+  if (csr->num_nodes_ > (uint64_t{1} << 32) ||
+      csr->num_labels_ > kInvalidLabel ||
+      csr->out_offsets_.size() != csr->num_nodes_ * csr->num_labels_ + 1 ||
+      csr->in_offsets_.size() != csr->out_offsets_.size() ||
+      csr->out_offsets_.back() != num_out ||
+      csr->in_offsets_.back() != num_in) {
     return Status::DataLoss("bundle: csr offset array size mismatch");
   }
   return FinishSection(r, "csr");

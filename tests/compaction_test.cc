@@ -67,7 +67,7 @@ struct Mirror {
 
 TEST(CompactionNodeGrowth, AddNodeQueryableWithoutRebuild) {
   EngineFixture f(MakeDiamond(), {"colleague[1]"}, /*owner=*/0,
-                  {.evaluator = EvaluatorChoice::kAuto});
+                  {.evaluator = EvaluatorChoice::kJoinIndex});
   auto old_view = f.engine->AcquireReadView();
   const size_t base_nodes = f.g.NumNodes();
   const uint64_t gen = f.engine->snapshot_generation();
@@ -179,7 +179,7 @@ TEST(CompactionNodeGrowth, OutOfRangeResourceOwnerFailsLoudly) {
 
 TEST(CompactionStraddle, MutationsDuringBuildAreReplayedNotLost) {
   EngineFixture f(MakeDiamond(), {"colleague[1]"}, /*owner=*/0,
-                  {.evaluator = EvaluatorChoice::kAuto,
+                  {.evaluator = EvaluatorChoice::kJoinIndex,
                    .compact_threshold = 0});
   const BoundPathExpression expr = MustBind(f.g, "colleague[1]");
   Mirror mirror(f.g);
@@ -332,7 +332,7 @@ TEST(CompactionStress, ReadersRaceBackgroundCompactions) {
   // itself is the thing under (TSan) test here, correctness per state
   // is pinned by the straddle test above.
   AccessControlEngine engine(g, store,
-                             {.evaluator = EvaluatorChoice::kAuto,
+                             {.evaluator = EvaluatorChoice::kJoinIndex,
                               .use_closure_prefilter = true,
                               .compact_threshold = 8});
   ASSERT_TRUE(engine.RebuildIndexes().ok());
@@ -451,7 +451,8 @@ void ExpectMergedMatchesFoldedBuild(const SocialGraph& g,
                                     const EngineOptions& options,
                                     const std::string& label) {
   const EdgeId first_new = static_cast<EdgeId>(g.EdgeSlotCount());
-  auto merged = SnapshotIndexes::BuildMerged(g, overlay, first_new, options);
+  auto merged = SnapshotIndexes::BuildMerged(g, overlay, first_new,
+                                             g.labels().size(), options);
   ASSERT_TRUE(merged.ok()) << label << ": " << merged.status().ToString();
   SocialGraph folded = g;
   Fold(folded, overlay);
@@ -487,7 +488,7 @@ TEST(CompactionFold, MergedBuildMatchesBuildOfFoldedGraph) {
     ASSERT_TRUE(gen.ok()) << gen.status().ToString();
     SocialGraph g = std::move(*gen);
     EngineOptions options;
-    options.evaluator = EvaluatorChoice::kAuto;
+    options.evaluator = EvaluatorChoice::kJoinIndex;
     options.line_graph_backward = seed % 4 >= 2;
     const LabelId fr = g.labels().Lookup("friend");
     const LabelId co = g.labels().Lookup("colleague");
@@ -530,7 +531,7 @@ TEST(CompactionFold, MergedBuildMatchesBuildOfFoldedGraph) {
 
 TEST(CompactionIncremental, PatchedBundleMatchesFullRebuildRandomized) {
   EngineOptions options;
-  options.evaluator = EvaluatorChoice::kAuto;
+  options.evaluator = EvaluatorChoice::kJoinIndex;
 
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     // Random DAG base (edges low -> high) plus forward-oriented staged
@@ -575,7 +576,7 @@ TEST(CompactionIncremental, PatchedBundleMatchesFullRebuildOnCyclicBase) {
   // node: the fresh node has no in-edges, so no path returns to the new
   // line vertices.
   EngineOptions options;
-  options.evaluator = EvaluatorChoice::kAuto;
+  options.evaluator = EvaluatorChoice::kJoinIndex;
 
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     auto gen = GenerateErdosRenyi(
@@ -601,7 +602,7 @@ TEST(CompactionIncremental, PatchedBundleMatchesFullRebuildOnCyclicBase) {
 
 TEST(CompactionIncremental, FallsBackOnDeletionsCyclesAndLargeDeltas) {
   EngineOptions options;
-  options.evaluator = EvaluatorChoice::kAuto;
+  options.evaluator = EvaluatorChoice::kJoinIndex;
 
   // Acyclic chain 0 -f-> 1 -f-> 2.
   SocialGraph g;
@@ -639,7 +640,7 @@ TEST(CompactionFold, JoinIndexServesAfterInsertionAndRemovalCompactions) {
   const ResourceId res = store.RegisterResource(/*owner=*/0, "doc");
   (void)store.AddRuleFromPaths(res, {"friend[1,2]"}).ValueOrDie();
   AccessControlEngine engine(g, store,
-                             {.evaluator = EvaluatorChoice::kAuto,
+                             {.evaluator = EvaluatorChoice::kJoinIndex,
                               .compact_threshold = 0});
   ASSERT_TRUE(engine.RebuildIndexes().ok());
   const LabelId fr = g.labels().Lookup("friend");
@@ -682,6 +683,54 @@ TEST(CompactionFold, JoinIndexServesAfterInsertionAndRemovalCompactions) {
   EXPECT_EQ(engine.full_compactions(), 2u);
   EXPECT_EQ(engine.incremental_compactions(), 0u);
   expect_join_agrees(*id, "after removal");
+}
+
+// ---- CSR key budget ----------------------------------------------------------
+
+// The CSR keeps one offset per (node, label) key, so builds past
+// CsrSnapshot::kMaxKeys nodes x interned labels are refused with a
+// status: a compaction reports it and the old snapshot keeps serving
+// with the staged state intact; a rebuild returns it.
+TEST(CsrKeyBudget, RefusesCompactionAndRebuildPastTheBudget) {
+  constexpr size_t kNodes = 2048;
+  constexpr size_t kLabels = 32768;
+  static_assert(kNodes * kLabels == CsrSnapshot::kMaxKeys);
+  SocialGraph g;
+  g.AddNodes(kNodes);
+  ASSERT_TRUE(g.AddEdge(0, 1, "friend").ok());
+  while (g.labels().size() < kLabels) {
+    g.labels().Intern("l" + std::to_string(g.labels().size()));
+  }
+  PolicyStore store;
+  const ResourceId res = store.RegisterResource(0, "photo");
+  ASSERT_TRUE(store.AddRuleFromPaths(res, {"friend[1]"}).ok());
+
+  EXPECT_TRUE(CsrSnapshot::CheckKeyBudget(kNodes, kLabels).ok());
+  EXPECT_EQ(CsrSnapshot::CheckKeyBudget(kNodes + 1, kLabels).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_TRUE(CsrSnapshot::CheckKeyBudget(kNodes + 1, 0).ok());
+  {
+    // At the budget the build succeeds (its CSR indexes one label).
+    AccessControlEngine engine(g, store);
+    ASSERT_TRUE(engine.RebuildIndexes().ok());
+    auto id = engine.AddNode();
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(engine.AddEdge(1, *id, "friend").ok());
+    ASSERT_TRUE(engine.Compact().ok());
+    engine.WaitForCompaction();
+    const Status refused = engine.last_compaction_status();
+    EXPECT_EQ(refused.code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(refused.ToString().find("key budget"), std::string::npos)
+        << refused.ToString();
+    EXPECT_EQ(engine.full_compactions(), 0u);
+    EXPECT_EQ(engine.overlay().num_staged_nodes(), 1u);
+    auto r = engine.CheckAccess({.requester = 1, .resource = res});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r->granted);
+  }
+  g.AddNode();
+  AccessControlEngine past(g, store);
+  EXPECT_EQ(past.RebuildIndexes().code(), StatusCode::kResourceExhausted);
 }
 
 // ---- Threshold scaling ------------------------------------------------------

@@ -544,7 +544,7 @@ TEST(EngineOverlay, AutoCompactionAtThreshold) {
 
 TEST(EngineOverlay, JoinIndexPlansRerouteToOnlineUnderOverlay) {
   EngineFixture f(MakeDiamond(), {"friend[1,2]/colleague[1]"}, /*owner=*/0,
-                  {.evaluator = EvaluatorChoice::kAuto});
+                  {.evaluator = EvaluatorChoice::kJoinIndex});
   auto before = f.engine->CheckAccess({.requester = 3, .resource = f.res});
   ASSERT_TRUE(before.ok());
   EXPECT_TRUE(before->granted);
@@ -676,7 +676,7 @@ TEST(EngineOverlay, RandomizedInterleavedMutationsAgreeWithOracle) {
   }
 
   AccessControlEngine engine(g, store,
-                             {.evaluator = EvaluatorChoice::kAuto,
+                             {.evaluator = EvaluatorChoice::kJoinIndex,
                               .use_closure_prefilter = true,
                               .compact_threshold = 16});
   ASSERT_TRUE(engine.RebuildIndexes().ok());

@@ -44,9 +44,8 @@ TEST_F(EngineTest, GrantAndDenyAcrossEvaluatorChoices) {
                   .ok());
 
   for (EvaluatorChoice choice :
-       {EvaluatorChoice::kAuto, EvaluatorChoice::kOnlineBfs,
-        EvaluatorChoice::kOnlineDfs, EvaluatorChoice::kBidirectional,
-        EvaluatorChoice::kJoinIndex}) {
+       {EvaluatorChoice::kOnlineBfs, EvaluatorChoice::kOnlineDfs,
+        EvaluatorChoice::kBidirectional, EvaluatorChoice::kJoinIndex}) {
     EngineOptions opts;
     opts.evaluator = choice;
     AccessControlEngine engine(g_, store_, opts);
@@ -96,8 +95,8 @@ TEST_F(EngineTest, BackwardPolicyNeedsBackwardLineGraph) {
   const ResourceId res = store_.RegisterResource(1, "res");
   ASSERT_TRUE(store_.AddRuleFromPaths(res, {"friend-[1]"}).ok());
 
-  // With kAuto and no backward line graph the engine falls back to online
-  // search: still correct.
+  // The default online search serves backward steps without any line
+  // graph.
   AccessControlEngine engine(g_, store_);
   ASSERT_TRUE(engine.RebuildIndexes().ok());
   auto r = engine.CheckAccess({.requester = 0, .resource = res});  // edge 0-f->1 reversed
@@ -169,7 +168,8 @@ TEST_F(EngineTest, PerRequestEvaluatorOverride) {
   const ResourceId res = store_.RegisterResource(0, "res");
   ASSERT_TRUE(
       store_.AddRuleFromPaths(res, {"friend[1,2]/colleague[1]"}).ok());
-  AccessControlEngine engine(g_, store_);  // kAuto: join index serves this
+  AccessControlEngine engine(g_, store_,
+                             {.evaluator = EvaluatorChoice::kJoinIndex});
   ASSERT_TRUE(engine.RebuildIndexes().ok());
 
   auto by_default = engine.CheckAccess({.requester = 3, .resource = res});
@@ -188,11 +188,14 @@ TEST_F(EngineTest, PerRequestEvaluatorOverride) {
     EXPECT_NE(r->evaluator_name, "join-index");
   }
 
-  // Forcing the join index on an online-only configuration (which never
-  // built the join stack) fails loudly when nothing grants.
-  AccessControlEngine online(g_, store_,
-                             {.evaluator = EvaluatorChoice::kOnlineBfs});
+  // Forcing the join index on the default configuration (which never
+  // builds the join stack) fails loudly when nothing grants.
+  AccessControlEngine online(g_, store_);
   ASSERT_TRUE(online.RebuildIndexes().ok());
+  auto walked = online.CheckAccess({.requester = 3, .resource = res});
+  ASSERT_TRUE(walked.ok());
+  EXPECT_TRUE(walked->granted);
+  EXPECT_EQ(walked->evaluator_name, "online-bfs");
   auto denied = online.CheckAccess(
       {.requester = 2,
        .resource = res,

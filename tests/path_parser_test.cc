@@ -222,7 +222,6 @@ TEST(Bind, ResolvesLabelsAndAttrs) {
   EXPECT_EQ(bound->steps()[0].label, g.labels().Lookup("friend"));
   EXPECT_EQ(bound->steps()[1].label, g.labels().Lookup("colleague"));
   EXPECT_EQ(bound->MaxPathLength(), 3u);
-  EXPECT_EQ(bound->ExpansionCount(), 2u);
   EXPECT_TRUE(bound->HasAttributeFilter());
   EXPECT_FALSE(bound->HasBackwardStep());
 }

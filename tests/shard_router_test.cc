@@ -85,7 +85,8 @@ TEST(Wire, CheckRoundTrip) {
   req.resource = 3;
   req.want_witness = 1;
   req.has_evaluator_override = 1;
-  req.evaluator_override = 2;
+  req.evaluator_override =
+      static_cast<uint8_t>(EvaluatorChoice::kBidirectional);
   auto decoded = wire::DecodeCheckRequest(wire::Encode(req));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(*decoded, req);
@@ -121,6 +122,35 @@ TEST(Wire, BatchRoundTrip) {
   auto decoded_rep = wire::DecodeBatchCheckReply(wire::Encode(rep));
   ASSERT_TRUE(decoded_rep.ok());
   EXPECT_EQ(*decoded_rep, rep);
+}
+
+// The view indexes its evaluator table by the choice, so an unknown
+// value must stop at the decoder, in a single request and in a batch.
+TEST(Wire, RejectsUnknownEvaluator) {
+  wire::CheckRequest req;
+  req.requester = 1;
+  req.has_evaluator_override = 1;
+  req.evaluator_override = 200;
+  auto single = wire::DecodeCheckRequest(wire::Encode(req));
+  ASSERT_FALSE(single.ok());
+  EXPECT_EQ(single.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(single.status().ToString().find("wire: unknown evaluator 200"),
+            std::string::npos)
+      << single.status().ToString();
+
+  wire::BatchCheckRequest batch;
+  batch.requests = {{.requester = 2}, req};
+  auto decoded = wire::DecodeBatchCheckRequest(wire::Encode(batch));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+
+  // The last valid choice still decodes; without the override flag the
+  // value is not read.
+  req.evaluator_override = static_cast<uint8_t>(EvaluatorChoice::kJoinIndex);
+  EXPECT_TRUE(wire::DecodeCheckRequest(wire::Encode(req)).ok());
+  req.has_evaluator_override = 0;
+  req.evaluator_override = 200;
+  EXPECT_TRUE(wire::DecodeCheckRequest(wire::Encode(req)).ok());
 }
 
 TEST(Wire, WalkRoundTrip) {
@@ -176,6 +206,15 @@ TEST(Wire, RejectsCorruptFrames) {
   bad_version[4] = 0xEE;
   EXPECT_EQ(wire::DecodeCheckRequest(bad_version).status().code(),
             StatusCode::kInvalidArgument);
+  // A v2 frame numbers evaluator_override differently; it is refused,
+  // not decoded under the current numbering.
+  auto v2 = bytes;
+  v2[4] = 2;
+  const auto v2_decoded = wire::DecodeCheckRequest(v2);
+  EXPECT_EQ(v2_decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(v2_decoded.status().ToString().find("unknown protocol version 2"),
+            std::string::npos)
+      << v2_decoded.status().ToString();
   // Wrong message type for the decoder.
   EXPECT_FALSE(wire::DecodeWalkRequest(bytes).ok());
   // Truncation at every prefix length must error, never crash.

@@ -317,8 +317,29 @@ void ExpectDecisionEquivalence(const AccessControlEngine& live,
   }
 }
 
+// The two configurations a bundle is saved and reopened under: the
+// default (product walker only; no join sections) and kJoinIndex (the
+// line-graph, oracle and cluster sections are saved, and OpenFromDir
+// adopts them so the join answers without a rebuild).
+struct BundleConfig {
+  const char* name;
+  EngineOptions options;
+  bool join_built;
+};
+std::vector<BundleConfig> BundleConfigs() {
+  EngineOptions join;
+  join.evaluator = EvaluatorChoice::kJoinIndex;
+  return {{"default", EngineOptions{}, false}, {"join", join, true}};
+}
+
+// The bundle's kFlagJoinBuilt must say whether the join sections are in it.
+void ExpectJoinFlag(const std::string& bundle_path, bool join_built) {
+  auto info = storage::ReadBundleInfo(bundle_path);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ((info->flags & storage::kFlagJoinBuilt) != 0, join_built);
+}
+
 TEST(Bundle, RoundTripDiamondNoRebuild) {
-  TempDir dir;
   SocialGraph g = MakeDiamond();
   PolicyStore store;
   const ResourceId photo = store.RegisterResource(0, "photo");
@@ -326,19 +347,40 @@ TEST(Bundle, RoundTripDiamondNoRebuild) {
   const ResourceId note = store.RegisterResource(2, "note");
   ASSERT_TRUE(store.AddRuleFromPaths(note, {"friend[1,3]"}).ok());
 
-  AccessControlEngine engine(g, store);
-  ASSERT_TRUE(engine.RebuildIndexes().ok());
-  ASSERT_TRUE(engine.EnableDurability(dir.path()).ok());
+  for (const BundleConfig& config : BundleConfigs()) {
+    SCOPED_TRACE(config.name);
+    TempDir dir;
+    AccessControlEngine engine(g, store, config.options);
+    ASSERT_TRUE(engine.RebuildIndexes().ok());
+    ASSERT_TRUE(engine.EnableDurability(dir.path()).ok());
+    ExpectJoinFlag(dir.File(storage::kSnapshotFileName), config.join_built);
 
-  SocialGraph g2;
-  auto reopened = AccessControlEngine::OpenFromDir(dir.path(), &g2, store);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  // The whole point: the first CheckAccess works with no RebuildIndexes.
-  EXPECT_TRUE((*reopened)->indexes_built());
-  EXPECT_TRUE((*reopened)->durable());
-  EXPECT_EQ((*reopened)->snapshot_generation(), engine.snapshot_generation());
-  ExpectDecisionEquivalence(engine, **reopened, g.NumNodes(),
-                            store.NumResources());
+    SocialGraph g2;
+    auto reopened = AccessControlEngine::OpenFromDir(dir.path(), &g2, store,
+                                                     config.options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    // The whole point: the first CheckAccess works with no RebuildIndexes.
+    EXPECT_TRUE((*reopened)->indexes_built());
+    EXPECT_TRUE((*reopened)->durable());
+    EXPECT_EQ((*reopened)->snapshot_generation(),
+              engine.snapshot_generation());
+    ExpectDecisionEquivalence(engine, **reopened, g.NumNodes(),
+                              store.NumResources());
+    // Under kJoinIndex the adopted join stack, not a fallback, answers a
+    // grant (the overlay is empty).
+    if (config.join_built) {
+      bool join_granted = false;
+      for (NodeId v = 0; v < g.NumNodes(); ++v) {
+        auto r = (*reopened)->CheckAccess({.requester = v, .resource = photo});
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        if (r->granted && !r->owner_access) {
+          EXPECT_EQ(r->evaluator_name, "join-index");
+          join_granted = true;
+        }
+      }
+      EXPECT_TRUE(join_granted);
+    }
+  }
 }
 
 TEST(Bundle, RoundTripPreservesWalTail) {
@@ -429,8 +471,9 @@ TEST(Bundle, OtherVersionIsDataLoss) {
   const std::vector<uint8_t> pristine = ReadAll(bundle_path);
   ASSERT_GE(pristine.size(), storage::kBundlePageSize);
 
+  // Version 2 bundles predate the per-(node, label) CSR offsets.
   for (const uint32_t version :
-       {storage::kBundleVersion - 1, storage::kBundleVersion + 1}) {
+       {uint32_t{1}, uint32_t{2}, storage::kBundleVersion + 1}) {
     std::vector<uint8_t> bytes = pristine;
     for (int i = 0; i < 4; ++i) {
       bytes[8 + i] = static_cast<uint8_t>(version >> (8 * i));
@@ -463,16 +506,25 @@ TEST(Bundle, OpenValidatesOptionsAgainstFlags) {
   TempDir dir;
   SocialGraph g = MakeDiamond();
   PolicyStore store;
-  // Save under an online-only configuration: no join stack, no closure.
-  EngineOptions online;
-  online.evaluator = EvaluatorChoice::kOnlineBfs;
+  // Save under the default configuration, which serves from the product
+  // walker alone: no join stack is built or saved, and no closure.
+  const EngineOptions online;
+  auto idx = SnapshotIndexes::Build(g, online);
+  ASSERT_TRUE(idx.ok());
+  EXPECT_FALSE((*idx)->join_built);
   AccessControlEngine engine(g, store, online);
   ASSERT_TRUE(engine.RebuildIndexes().ok());
   ASSERT_TRUE(engine.EnableDurability(dir.path()).ok());
+  auto info = storage::ReadBundleInfo(dir.File(storage::kSnapshotFileName));
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info->flags & storage::kFlagJoinBuilt, 0u);
 
   SocialGraph g2;
-  // kAuto needs the join stack the bundle never built.
-  auto need_join = AccessControlEngine::OpenFromDir(dir.path(), &g2, store);
+  // kJoinIndex needs the join stack the bundle never built.
+  EngineOptions join;
+  join.evaluator = EvaluatorChoice::kJoinIndex;
+  auto need_join =
+      AccessControlEngine::OpenFromDir(dir.path(), &g2, store, join);
   ASSERT_FALSE(need_join.ok());
   EXPECT_EQ(need_join.status().code(), StatusCode::kFailedPrecondition);
 
@@ -483,8 +535,8 @@ TEST(Bundle, OpenValidatesOptionsAgainstFlags) {
   ASSERT_FALSE(need_closure.ok());
   EXPECT_EQ(need_closure.status().code(), StatusCode::kFailedPrecondition);
 
-  // The configuration that saved it opens fine.
-  auto ok = AccessControlEngine::OpenFromDir(dir.path(), &g2, store, online);
+  // The default configuration that saved it opens fine.
+  auto ok = AccessControlEngine::OpenFromDir(dir.path(), &g2, store);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   ExpectDecisionEquivalence(engine, **ok, g.NumNodes(), store.NumResources());
 }
@@ -495,24 +547,28 @@ TEST(Bundle, OpenValidatesOptionsAgainstFlags) {
 // every decision.
 TEST(Bundle, RandomizedRoundTripEquivalence) {
   struct Case {
-    const char* name;
+    std::string name;
     SocialGraph graph;
+    BundleConfig config;
   };
+  // Each configuration gets freshly generated graphs: the engine folds
+  // compactions into the graph it was given.
   std::vector<Case> cases;
-  {
+  for (const BundleConfig& config : BundleConfigs()) {
+    const std::string suffix = std::string("/") + config.name;
     auto er = GenerateErdosRenyi(
         {.base = {.num_nodes = 120, .seed = 11}, .avg_out_degree = 3.0});
     ASSERT_TRUE(er.ok());
-    cases.push_back({"er", std::move(*er)});
+    cases.push_back({"er" + suffix, std::move(*er), config});
     auto ba = GenerateBarabasiAlbert(
         {.base = {.num_nodes = 100, .seed = 12}, .edges_per_node = 3});
     ASSERT_TRUE(ba.ok());
-    cases.push_back({"ba", std::move(*ba)});
+    cases.push_back({"ba" + suffix, std::move(*ba), config});
     auto ws = GenerateWattsStrogatz({.base = {.num_nodes = 100, .seed = 13},
                                      .neighbors_per_side = 2,
                                      .rewire_probability = 0.2});
     ASSERT_TRUE(ws.ok());
-    cases.push_back({"ws", std::move(*ws)});
+    cases.push_back({"ws" + suffix, std::move(*ws), config});
   }
 
   for (auto& c : cases) {
@@ -530,7 +586,7 @@ TEST(Bundle, RandomizedRoundTripEquivalence) {
                       .ok());
     }
 
-    AccessControlEngine engine(c.graph, store);
+    AccessControlEngine engine(c.graph, store, c.config.options);
     ASSERT_TRUE(engine.RebuildIndexes().ok());
     ASSERT_TRUE(engine.EnableDurability(dir.path()).ok());
 
@@ -557,6 +613,7 @@ TEST(Bundle, RandomizedRoundTripEquivalence) {
       logical = engine.overlay().num_staged_nodes() + n;
     }
     ASSERT_TRUE(engine.SaveSnapshot().ok());  // bundle mid-sequence
+    ExpectJoinFlag(dir.File(storage::kSnapshotFileName), c.config.join_built);
     for (int i = 0; i < 40; ++i) {
       mutate_once(logical);
       logical = engine.overlay().num_staged_nodes() + n;
@@ -564,8 +621,8 @@ TEST(Bundle, RandomizedRoundTripEquivalence) {
     engine.WaitForCompaction();  // quiesce before comparing writer state
 
     SocialGraph recovered_graph;
-    auto reopened =
-        AccessControlEngine::OpenFromDir(dir.path(), &recovered_graph, store);
+    auto reopened = AccessControlEngine::OpenFromDir(
+        dir.path(), &recovered_graph, store, c.config.options);
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     ExpectDecisionEquivalence(engine, **reopened, logical,
                               store.NumResources());
@@ -804,81 +861,87 @@ TEST(Recovery, KillAndReopenKeepsAckedGroupCommitBatches) {
 // inter-section zero padding are outside every checksum and harmless) —
 // never a crash, never silently different state.
 TEST(Corruption, BundleBitFlipMatrix) {
-  TempDir dir;
   SocialGraph g = MakeDiamond();
   PolicyStore store;
   const ResourceId photo = store.RegisterResource(0, "photo");
   ASSERT_TRUE(store.AddRuleFromPaths(photo, {"friend[1,2]/colleague[1]"}).ok());
-  AccessControlEngine engine(g, store);
-  ASSERT_TRUE(engine.RebuildIndexes().ok());
-  ASSERT_TRUE(engine.EnableDurability(dir.path()).ok());
+  // Under kJoinIndex the bundle also carries the line-graph, oracle and
+  // cluster sections; their bytes must be covered and deterministic too.
+  for (const BundleConfig& config : BundleConfigs()) {
+    SCOPED_TRACE(config.name);
+    TempDir dir;
+    AccessControlEngine engine(g, store, config.options);
+    ASSERT_TRUE(engine.RebuildIndexes().ok());
+    ASSERT_TRUE(engine.EnableDurability(dir.path()).ok());
 
-  const std::string bundle_path = dir.File(storage::kSnapshotFileName);
-  const std::vector<uint8_t> pristine = ReadAll(bundle_path);
-  ASSERT_FALSE(pristine.empty());
+    const std::string bundle_path = dir.File(storage::kSnapshotFileName);
+    ExpectJoinFlag(bundle_path, config.join_built);
+    const std::vector<uint8_t> pristine = ReadAll(bundle_path);
+    ASSERT_FALSE(pristine.empty());
 
-  // Canonical re-serialization of the pristine load: the equivalence
-  // oracle for flips that slip through (padding only).
-  const std::string canon_path = dir.File("canon");
-  {
-    auto loaded = storage::LoadBundle(bundle_path);
-    ASSERT_TRUE(loaded.ok());
-    storage::BundlePayload payload;
-    payload.graph = &loaded->graph;
-    payload.indexes = loaded->indexes.get();
-    payload.overlay = &loaded->overlay;
-    payload.stamp = loaded->stamp;
-    payload.compact_threshold = loaded->compact_threshold;
-    ASSERT_TRUE(storage::WriteBundle(canon_path, payload).ok());
-  }
-  const std::vector<uint8_t> canon = ReadAll(canon_path);
-  ASSERT_EQ(canon, pristine) << "serialization is not deterministic";
-
-  // Every byte of the header page and of every section's byte range is
-  // under a checksum; only inter-section zero padding is not.
-  auto info = storage::ReadBundleInfo(bundle_path);
-  ASSERT_TRUE(info.ok());
-  auto covered = [&](size_t at) {
-    if (at < storage::kBundlePageSize) return true;  // header + its checksum
-    for (const auto& s : info->sections) {
-      if (at >= s.offset && at < s.offset + s.size) return true;
+    // Canonical re-serialization of the pristine load: the equivalence
+    // oracle for flips that slip through (padding only).
+    const std::string canon_path = dir.File("canon");
+    {
+      auto loaded = storage::LoadBundle(bundle_path);
+      ASSERT_TRUE(loaded.ok());
+      storage::BundlePayload payload;
+      payload.graph = &loaded->graph;
+      payload.indexes = loaded->indexes.get();
+      payload.overlay = &loaded->overlay;
+      payload.stamp = loaded->stamp;
+      payload.compact_threshold = loaded->compact_threshold;
+      ASSERT_TRUE(storage::WriteBundle(canon_path, payload).ok());
     }
-    return false;
-  };
+    const std::vector<uint8_t> canon = ReadAll(canon_path);
+    ASSERT_EQ(canon, pristine) << "serialization is not deterministic";
 
-  const std::string corrupt_path = dir.File("corrupt");
-  Rng rng(0xC0FFEE);
-  int detected = 0, harmless = 0;
-  constexpr int kFlips = 6000;
-  for (int i = 0; i < kFlips; ++i) {
-    std::vector<uint8_t> bytes = pristine;
-    const size_t at = rng.NextBounded(bytes.size());
-    bytes[at] ^= static_cast<uint8_t>(1u << rng.NextBounded(8));
-    WriteAll(corrupt_path, bytes);
-    auto loaded = storage::LoadBundle(corrupt_path);
-    if (!loaded.ok()) {
-      EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
-          << "flip at byte " << at << ": " << loaded.status().ToString();
-      ++detected;
-      continue;
+    // Every byte of the header page and of every section's byte range is
+    // under a checksum; only inter-section zero padding is not.
+    auto info = storage::ReadBundleInfo(bundle_path);
+    ASSERT_TRUE(info.ok());
+    auto covered = [&](size_t at) {
+      if (at < storage::kBundlePageSize) return true;  // header + its checksum
+      for (const auto& s : info->sections) {
+        if (at >= s.offset && at < s.offset + s.size) return true;
+      }
+      return false;
+    };
+
+    const std::string corrupt_path = dir.File("corrupt");
+    Rng rng(0xC0FFEE);
+    int detected = 0, harmless = 0;
+    constexpr int kFlips = 6000;
+    for (int i = 0; i < kFlips; ++i) {
+      std::vector<uint8_t> bytes = pristine;
+      const size_t at = rng.NextBounded(bytes.size());
+      bytes[at] ^= static_cast<uint8_t>(1u << rng.NextBounded(8));
+      WriteAll(corrupt_path, bytes);
+      auto loaded = storage::LoadBundle(corrupt_path);
+      if (!loaded.ok()) {
+        EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+            << "flip at byte " << at << ": " << loaded.status().ToString();
+        ++detected;
+        continue;
+      }
+      // The flip went undetected: it must have landed in padding, and the
+      // loaded state must be byte-identical to the pristine one.
+      EXPECT_FALSE(covered(at))
+          << "flip at checksummed byte " << at << " loaded anyway";
+      storage::BundlePayload payload;
+      payload.graph = &loaded->graph;
+      payload.indexes = loaded->indexes.get();
+      payload.overlay = &loaded->overlay;
+      payload.stamp = loaded->stamp;
+      payload.compact_threshold = loaded->compact_threshold;
+      ASSERT_TRUE(storage::WriteBundle(corrupt_path, payload).ok());
+      EXPECT_EQ(ReadAll(corrupt_path), canon)
+          << "undetected flip at byte " << at << " changed the loaded state";
+      ++harmless;
     }
-    // The flip went undetected: it must have landed in padding, and the
-    // loaded state must be byte-identical to the pristine one.
-    EXPECT_FALSE(covered(at))
-        << "flip at checksummed byte " << at << " loaded anyway";
-    storage::BundlePayload payload;
-    payload.graph = &loaded->graph;
-    payload.indexes = loaded->indexes.get();
-    payload.overlay = &loaded->overlay;
-    payload.stamp = loaded->stamp;
-    payload.compact_threshold = loaded->compact_threshold;
-    ASSERT_TRUE(storage::WriteBundle(corrupt_path, payload).ok());
-    EXPECT_EQ(ReadAll(corrupt_path), canon)
-        << "undetected flip at byte " << at << " changed the loaded state";
-    ++harmless;
+    EXPECT_GT(detected, 0);
+    EXPECT_EQ(detected + harmless, kFlips);
   }
-  EXPECT_GT(detected, 0);
-  EXPECT_EQ(detected + harmless, kFlips);
 }
 
 // WAL flips: every byte of the log is covered (header validation or a
